@@ -12,12 +12,12 @@ FUZZTIME ?= 5s
 # Minimum total statement coverage (percent) enforced by `make cover`.
 COVER_FLOOR ?= 70
 
-.PHONY: ci fmt vet build test test-allocs test-faults test-service race cover fuzz-smoke bench-smoke bench bench-sweep bench-baseline bench-compare
+.PHONY: ci fmt vet build test test-allocs test-faults test-service race cover fuzz-smoke bench-smoke bench-selftest bench bench-sweep bench-baseline bench-compare
 
 # cover runs the full test suite (instrumented) and fails on any test
 # failure, so ci does not also run the plain `test` target — that would
 # execute every test twice for no extra guarantee.
-ci: fmt vet build cover test-allocs test-faults test-service race fuzz-smoke bench-smoke
+ci: fmt vet build cover test-allocs test-faults test-service race fuzz-smoke bench-smoke bench-selftest
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -46,20 +46,20 @@ test-allocs:
 
 # test-faults runs the whole fault-tolerance surface under the race
 # detector: fault injection, panic containment, retry/backoff, context
-# cancellation, the crash-safe journal and the SIGKILL crash-resume
-# integration tests.  Recovery paths are exercised, never trusted.
+# cancellation, and the SIGKILL crash-resume and SIGINT integration tests
+# of `leaksweep -cache`.  Recovery paths are exercised, never trusted.
 test-faults:
 	$(GO) test -race -count 1 ./internal/faultinject
 	$(GO) test -race -count 1 \
-		-run 'Fault|Panic|Retry|Journal|Resume|Context|Backoff|Transient|TraceBenchmark|TraceFile|FailsBeforeSimulating' \
+		-run 'Fault|Panic|Retry|Resume|Context|Backoff|Transient|TraceBenchmark|TraceFile|FailsBeforeSimulating' \
 		./internal/experiment ./internal/trace ./internal/scenario ./cmd/leaksweep
 
 # test-service runs the sweep-service surface under the race detector: the
-# result-cache store, the HTTP daemon end-to-end (submit, stream, report,
+# result-cache store and its record framing, the HTTP daemon end-to-end (submit, stream, report,
 # warm-cache zero-simulation proof, concurrent clients) and the leakserved
 # flag validation.
 test-service:
-	$(GO) test -race -count 1 ./internal/frame ./internal/resultcache ./internal/service ./cmd/leakserved
+	$(GO) test -race -count 1 ./internal/resultcache ./internal/service ./cmd/leakserved
 
 # race runs the full suite under the race detector.  The timing model is
 # single-goroutine by design, but trace readers, shard merges and the
@@ -85,7 +85,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzDinImport -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzScenario -fuzztime $(FUZZTIME) ./internal/scenario
-	$(GO) test -run '^$$' -fuzz FuzzJournal -fuzztime $(FUZZTIME) ./internal/experiment
 	$(GO) test -run '^$$' -fuzz FuzzCacheRecord -fuzztime $(FUZZTIME) ./internal/resultcache
 	$(GO) test -run '^$$' -fuzz FuzzServeScenario -fuzztime $(FUZZTIME) ./internal/service
 
@@ -96,6 +95,14 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
 	CMPLEAK_BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' \
 		-bench 'BenchmarkRun(Baseline|Protocol|Decay|SelectiveDecay)$$' -benchtime 1x .
+
+# bench-selftest vets and self-tests the end-to-end benchmark harness in
+# perfbench/ (its own module, built against this checkout): every metric is
+# emitted with its unit, simulated counts repeat exactly, and BENCHMARK.json,
+# the metric tables and perfbench/README.md agree.
+bench-selftest:
+	GOWORK=off GOTOOLCHAIN=local $(GO) -C perfbench vet ./...
+	GOWORK=off GOTOOLCHAIN=local $(GO) -C perfbench test ./...
 
 # bench runs the full figure-regeneration benchmarks at the default scale.
 bench:

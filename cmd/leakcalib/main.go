@@ -13,12 +13,11 @@
 //	leakcalib -trace water05.trc -technique sel_decay:64K -l2mb 8 -best 5
 //	leakcalib -trace water05.trc -sweep-jobs 8   # aggregate pool throughput
 //
-// With -best N (or the older -runs alias) every run is timed separately and
-// both the best and the median run are summarised — the ROADMAP's
-// "best-of-N on a noisy box" calibration protocol: the first run pays the
-// page-cache and verify cost of the trace file, the best run is the
-// steady-state number capacity planning needs, and the median quantifies
-// how noisy the box was.  The far-event ratio (FarEvents/Executed) reports
+// With -best N (default 3) every run is timed separately and both the best
+// and the median run are summarised — the ROADMAP's "best-of-N on a noisy
+// box" calibration protocol: the first run pays the page-cache and verify
+// cost of the trace file, the best run is the steady-state number capacity
+// planning needs, and the median quantifies how noisy the box was.  The far-event ratio (FarEvents/Executed) reports
 // how often the timing wheel overflowed to the far heap — it should stay
 // ~1e-4; a jump means the wheel is undersized for the configuration.
 //
@@ -52,8 +51,7 @@ func main() {
 		traceFile  = flag.String("trace", "", "recorded trace file to replay (required)")
 		technique  = flag.String("technique", "decay:512K", "technique spec (baseline, protocol, decay:512K, sel_decay:64K, adaptive:128K)")
 		l2MB       = flag.Int("l2mb", 4, "total L2 capacity in MB")
-		best       = flag.Int("best", 0, "timed replay runs; best and median are reported (0 = use -runs)")
-		runs       = flag.Int("runs", 3, "deprecated alias of -best")
+		best       = flag.Int("best", 3, "timed replay runs; best and median are reported")
 		sweepJobs  = flag.Int("sweep-jobs", 0, "also run the paper technique set through the worker pool with N workers and report aggregate throughput (0 = skip)")
 		noThermal  = flag.Bool("no-thermal-feedback", false, "disable the leakage-temperature loop")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the timed runs to this file")
@@ -64,12 +62,8 @@ func main() {
 	if *traceFile == "" {
 		fatalf("-trace is required (record one with tracegen)")
 	}
-	repeats := *runs
-	if *best > 0 {
-		repeats = *best
-	}
-	if repeats < 1 {
-		fatalf("-best (or -runs) must be at least 1")
+	if *best < 1 {
+		fatalf("-best must be at least 1")
 	}
 	spec, err := cmpleak.ParseTechnique(*technique)
 	if err != nil {
@@ -120,7 +114,7 @@ func main() {
 		eventsPerSec float64
 	}
 	var samples []sample
-	for i := 0; i < repeats; i++ {
+	for i := 0; i < *best; i++ {
 		s, err := core.NewSystem(cfg)
 		if err != nil {
 			fatalf("%v", err)
@@ -153,7 +147,7 @@ func main() {
 	bestRun := byRate[len(byRate)-1]
 	median := byRate[(len(byRate)-1)/2]
 	fmt.Printf("best (of %d): sim_cycles/sec=%.4g  events/sec=%.4g  entries/sec=%.4g  near/far=%d/%d (far ratio %.2g)  (%s %s, %d MB L2, %d cores)\n",
-		repeats, bestRun.cyclesPerSec, bestRun.eventsPerSec, float64(entries)/bestRun.wall.Seconds(),
+		*best, bestRun.cyclesPerSec, bestRun.eventsPerSec, float64(entries)/bestRun.wall.Seconds(),
 		bestRun.executed-bestRun.far, bestRun.far, ratio(bestRun.far, bestRun.executed),
 		hdr.Benchmark, spec.Name(), *l2MB, hdr.Cores)
 	fmt.Printf("median:       sim_cycles/sec=%.4g  events/sec=%.4g  entries/sec=%.4g  wall=%s\n",

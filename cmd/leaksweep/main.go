@@ -43,19 +43,23 @@
 // Benchmarks may be recorded traces: -benchmarks trace:fmm.trc sweeps a
 // tracegen file through every size and technique like a synthetic name.
 //
-// Long runs survive interruption: -journal FILE appends every completed job
-// to a crash-safe journal (CRC-framed, torn tails self-heal), SIGINT/SIGTERM
-// cancel gracefully — in-flight jobs finish, the journal is flushed, and the
-// exact -resume invocation is printed — and -resume skips every journaled
-// job, producing output byte-identical to an uninterrupted run.  -retries N
-// replays jobs that fail transiently (host I/O) with deterministic backoff.
-//
 // -cache DIR reuses results across runs: completed jobs are written to a
 // persistent content-addressed store (keyed on the sweep's options digest
 // and the job key, stamped with the golden behaviour anchor), and any job
 // already in the store is served from it without simulating — the printed
 // report stays byte-identical either way.  The same directory backs the
-// leakserved service, so CLI runs and service runs share one cache.
+// leakserved service, so CLI runs and service runs share one cache.  A
+// directory is used by one process at a time: concurrent -shard processes
+// each take their own.
+//
+// -cache is also how long runs survive interruption.  Each record is one
+// CRC-framed write (torn tails self-heal on open), so even a SIGKILL loses
+// at most the job in flight.  SIGINT/SIGTERM cancel gracefully: in-flight
+// jobs finish and land in the cache, and the command to rerun is printed.
+// Rerunning the same command reuses every completed job and simulates only
+// the rest, producing output byte-identical to an uninterrupted run.
+// -retries N replays jobs that fail transiently (host I/O) with
+// deterministic backoff.
 package main
 
 import (
@@ -85,31 +89,17 @@ func main() {
 		fig        = flag.String("fig", "", "print only one figure: 3a, 3b, 4a, 4b, 5a, 5b, 6a, 6b")
 		csv        = flag.Bool("csv", false, "emit CSV instead of markdown")
 		jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulation workers (one engine each)")
-		parallel   = flag.Int("parallel", 0, "deprecated alias of -jobs (0 = use -jobs)")
 		quiet      = flag.Bool("quiet", false, "suppress the live progress line")
 		shard      = flag.String("shard", "", "run shard i of n sweep jobs, as \"i/n\" (default: all jobs)")
 		out        = flag.String("out", "", "write the run's results as a shard JSON file (one per cell with -scenario)")
 		merge      = flag.String("merge", "", "merge shard JSON files matching this glob instead of running")
 		cache      = flag.String("cache", "", "reuse and record job results in this persistent content-addressed cache directory")
-		journal    = flag.String("journal", "", "append each completed job to this crash-safe journal file")
-		resume     = flag.Bool("resume", false, "skip jobs already recorded in the -journal file")
 		retries    = flag.Int("retries", 0, "extra attempts per job for transient failures (0 = fail on first error)")
 	)
 	flag.Parse()
 
-	if *resume && *journal == "" {
-		fatalf("-resume replays a -journal file; set -journal too")
-	}
 	if *retries < 0 {
 		fatalf("-retries must be >= 0")
-	}
-
-	workers := *jobs
-	if flagWasSet("parallel") {
-		if flagWasSet("jobs") {
-			fatalf("-parallel is a deprecated alias of -jobs; set only one")
-		}
-		workers = *parallel
 	}
 
 	if *merge != "" {
@@ -118,9 +108,6 @@ func main() {
 		}
 		if *scenario != "" {
 			fatalf("-merge joins completed shards; it cannot be combined with -scenario")
-		}
-		if *journal != "" {
-			fatalf("-merge runs nothing; it cannot be combined with -journal")
 		}
 		if *cache != "" {
 			fatalf("-merge runs nothing; it cannot be combined with -cache")
@@ -134,8 +121,8 @@ func main() {
 		return
 	}
 
-	// SIGINT/SIGTERM cancel the pool: in-flight jobs finish, the journal is
-	// flushed, and the resume invocation prints.  A second signal kills the
+	// SIGINT/SIGTERM cancel the pool: in-flight jobs finish, the cache is
+	// flushed, and the command to rerun prints.  A second signal kills the
 	// process the usual way (stop() restores default handling after the
 	// first).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -150,10 +137,7 @@ func main() {
 		shardIndex, shardCount = i, n
 	}
 
-	rc := runConfig{
-		workers: workers, quiet: *quiet,
-		journal: *journal, resume: *resume, retries: *retries,
-	}
+	rc := runConfig{workers: *jobs, quiet: *quiet, retries: *retries}
 	if *cache != "" {
 		store, err := cmpleak.OpenResultCache(*cache, cmpleak.ResultCacheOptions{})
 		if err != nil {
@@ -200,8 +184,6 @@ func main() {
 type runConfig struct {
 	workers int
 	quiet   bool
-	journal string
-	resume  bool
 	retries int
 	// store, when non-nil, is the persistent content-addressed result cache
 	// (-cache): jobs it holds are served without simulating, and every
@@ -210,13 +192,10 @@ type runConfig struct {
 }
 
 // parallelism builds the pool configuration: workers, live progress, the
-// retry policy (seeded so backoff schedules are reproducible), with
-// -journal the journal appender chained onto the progress callback plus the
-// resume lookup, and with -cache the persistent store chained after both —
-// resume-set hits win (no store lookup), store hits skip simulation, and
-// every simulated job is written through.  It returns the open journal (nil
-// without -journal) and how many jobs resume will skip.
-func (rc runConfig) parallelism(prefix string, named []cmpleak.NamedSweepOptions, seed uint64) (cmpleak.SweepParallelism, *cmpleak.SweepJournal, int) {
+// retry policy (seeded so backoff schedules are reproducible), and with
+// -cache the persistent store wired in — store hits skip simulation, and
+// every simulated job is written through.
+func (rc runConfig) parallelism(prefix string, named []cmpleak.NamedSweepOptions, seed uint64) cmpleak.SweepParallelism {
 	p := cmpleak.SweepParallelism{
 		Workers:  rc.workers,
 		Progress: progressLine(prefix, rc.quiet),
@@ -224,89 +203,18 @@ func (rc runConfig) parallelism(prefix string, named []cmpleak.NamedSweepOptions
 	if rc.retries > 0 {
 		p.Retry = cmpleak.SweepRetryPolicy{MaxAttempts: rc.retries + 1, Seed: seed}
 	}
-	digests := make([]string, len(named))
-	for i := range named {
-		digests[i] = named[i].Options.Digest()
-	}
-	var j *cmpleak.SweepJournal
-	skipped := 0
-	if rc.journal != "" {
-		var recs []cmpleak.SweepJournalRecord
-		var err error
-		j, recs, err = cmpleak.OpenSweepJournal(rc.journal)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if len(recs) > 0 && !rc.resume {
-			fatalf("journal %s already holds %d records; pass -resume to continue that run or remove the file",
-				rc.journal, len(recs))
-		}
-		if rc.resume && len(recs) > 0 {
-			rs := cmpleak.BuildSweepResumeSet(named, recs)
-			if rs.Ignored() > 0 {
-				fmt.Fprintf(os.Stderr, "%s: journal %s: ignoring %d record(s) from other configurations\n",
-					prefix, rc.journal, rs.Ignored())
-			}
-			fmt.Fprintf(os.Stderr, "%s: resuming from %s: skipping %d journaled job(s)\n",
-				prefix, rc.journal, rs.Matched())
-			p.Reuse = rs.Lookup
-			skipped = rs.Matched()
-		}
-		inner := p.Progress
-		p.Progress = func(ev cmpleak.SweepJobEvent) {
-			if ev.Err == nil {
-				if aerr := j.Append(cmpleak.SweepJournalRecord{
-					Cell: ev.Cell, OptionsDigest: digests[ev.Sweep], Key: ev.Key, Result: ev.Result,
-				}); aerr != nil {
-					fmt.Fprintf(os.Stderr, "%s: journal append: %v\n", prefix, aerr)
-				}
-			}
-			if inner != nil {
-				inner(ev)
-			}
-		}
-	}
 	if rc.store != nil {
-		byCell := make(map[string]string, len(named))
-		for i := range named {
-			byCell[named[i].Name] = digests[i]
-		}
-		prevReuse := p.Reuse
-		p.Reuse = func(cell string, key cmpleak.SweepKey) (cmpleak.Result, bool) {
-			if prevReuse != nil {
-				if res, ok := prevReuse(cell, key); ok {
-					return res, true
-				}
-			}
-			return rc.store.Get(byCell[cell], key)
-		}
-		inner := p.Progress
-		p.Progress = func(ev cmpleak.SweepJobEvent) {
-			if ev.Err == nil {
-				if perr := rc.store.Put(cmpleak.ResultCacheRecord{
-					Cell: ev.Cell, OptionsDigest: digests[ev.Sweep], Key: ev.Key, Result: ev.Result,
-				}); perr != nil {
-					fmt.Fprintf(os.Stderr, "%s: cache write: %v\n", prefix, perr)
-				}
-			}
-			if inner != nil {
-				inner(ev)
-			}
-		}
+		p = rc.store.Wire(p, named, func(err error) {
+			fmt.Fprintf(os.Stderr, "%s: cache write: %v\n", prefix, err)
+		})
 	}
-	return p, j, skipped
+	return p
 }
 
-// finishRun closes the journal and the cache store (printing its hit/write
-// summary) and translates a pool error into an exit: cancellation prints
-// the exact resume invocation (exit 130, the SIGINT convention), anything
-// else is fatal.
-func finishRun(prefix string, err error, j *cmpleak.SweepJournal, rc runConfig) {
-	if j != nil {
-		if cerr := j.Close(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "%s: closing journal: %v\n", prefix, cerr)
-		}
-	}
+// finishRun closes the cache store (printing its hit/write summary) and
+// translates a pool error into an exit: cancellation prints the command to
+// rerun (exit 130, the SIGINT convention), anything else is fatal.
+func finishRun(prefix string, err error, rc runConfig) {
 	if rc.store != nil {
 		st := rc.store.Stats()
 		fmt.Fprintf(os.Stderr, "%s: cache: %d job(s) reused, %d result(s) recorded\n",
@@ -320,13 +228,9 @@ func finishRun(prefix string, err error, j *cmpleak.SweepJournal, rc runConfig) 
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", prefix, err)
-		if rc.journal != "" {
-			args := append([]string(nil), os.Args...)
-			if !rc.resume {
-				args = append(args, "-resume")
-			}
-			fmt.Fprintf(os.Stderr, "%s: completed jobs are journaled; resume with:\n  %s\n",
-				prefix, strings.Join(args, " "))
+		if rc.store != nil {
+			fmt.Fprintf(os.Stderr, "%s: completed jobs are cached; rerun the same command to resume:\n  %s\n",
+				prefix, strings.Join(os.Args, " "))
 		}
 		os.Exit(130)
 	}
@@ -357,10 +261,10 @@ func runScenario(ctx context.Context, path string, shardIndex, shardCount int, r
 			path, len(cells), totalJobs, effectiveWorkers(rc.workers, totalJobs))
 	}
 
-	p, j, _ := rc.parallelism("leaksweep", cmpleak.ScenarioNamedOptions(cells), 0)
+	p := rc.parallelism("leaksweep", cmpleak.ScenarioNamedOptions(cells), 0)
 	start := time.Now()
 	sweeps, err := cmpleak.RunScenarioCellsContext(ctx, cells, p)
-	finishRun("leaksweep", err, j, rc)
+	finishRun("leaksweep", err, rc)
 	fmt.Fprintf(os.Stderr, "leaksweep: done in %s\n", time.Since(start).Round(time.Second))
 
 	for i, cell := range cells {
@@ -460,10 +364,10 @@ func runSweep(ctx context.Context, opts cmpleak.SweepOptions, label string, rc r
 			prefix, runs, opts.Scale, effectiveWorkers(rc.workers, runs))
 	}
 	named := []cmpleak.NamedSweepOptions{{Options: opts}}
-	p, j, _ := rc.parallelism(prefix, named, opts.Seed)
+	p := rc.parallelism(prefix, named, opts.Seed)
 	start := time.Now()
 	sweep, err := cmpleak.RunSweepParallelContext(ctx, opts, p)
-	finishRun(prefix, err, j, rc)
+	finishRun(prefix, err, rc)
 	fmt.Fprintf(os.Stderr, "%s: done in %s\n", prefix, time.Since(start).Round(time.Second))
 	return sweep
 }

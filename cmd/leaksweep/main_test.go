@@ -1,8 +1,8 @@
 package main
 
 // Crash-resume integration tests: a real leaksweep subprocess is killed
-// (SIGKILL — no cleanup of any kind) mid-sweep with -journal, resumed with
-// -resume, and the resumed stdout must be byte-identical to an
+// (SIGKILL — no cleanup of any kind) mid-sweep with -cache, the identical
+// command is rerun, and its stdout must be byte-identical to an
 // uninterrupted run.  The subprocess is this test binary re-executed with
 // LEAKSWEEP_RUN_MAIN=1, so no separate build step is needed.
 
@@ -11,12 +11,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
-
-	"cmpleak"
 )
 
 func TestMain(m *testing.M) {
@@ -52,22 +52,42 @@ func runMain(t *testing.T, args []string) (stdout, stderr string, exitCode int) 
 	return outBuf.String(), errBuf.String(), code
 }
 
-// waitForRecords polls the journal until it holds at least n records.
-func waitForRecords(t *testing.T, path string, n int) {
+// waitForCacheRecord polls the cache directory of a live run until a
+// segment holds more than its 8-byte magic, i.e. at least one record has
+// landed.  It only stats the files: opening the store would truncate the
+// tail a live writer is appending to.
+func waitForCacheRecord(t *testing.T, dir string) {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		if recs, err := cmpleak.LoadSweepJournal(path); err == nil && len(recs) >= n {
-			return
+		segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.cas"))
+		for _, seg := range segs {
+			if fi, err := os.Stat(seg); err == nil && fi.Size() > int64(len("CMPLCAS1")) {
+				return
+			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("journal %s never reached %d records", path, n)
+	t.Fatalf("cache %s never received a record", dir)
 }
 
-// TestCrashResumeByteIdentical is the tentpole's end-to-end proof: SIGKILL
-// a journaling sweep mid-run, resume it, and compare stdout byte for byte
-// against an uninterrupted run.
+var cacheSummary = regexp.MustCompile(`cache: (\d+) job\(s\) reused, (\d+) result\(s\) recorded`)
+
+// cacheCounts parses the run's cache summary line from its stderr.
+func cacheCounts(t *testing.T, stderr string) (reused, recorded int) {
+	t.Helper()
+	m := cacheSummary.FindStringSubmatch(stderr)
+	if m == nil {
+		t.Fatalf("no cache summary in stderr:\n%s", stderr)
+	}
+	reused, _ = strconv.Atoi(m[1])
+	recorded, _ = strconv.Atoi(m[2])
+	return reused, recorded
+}
+
+// TestCrashResumeByteIdentical is the end-to-end resume proof: SIGKILL a
+// -cache sweep mid-run, rerun the identical command, and compare stdout
+// byte for byte against an uninterrupted run.
 func TestCrashResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
@@ -80,31 +100,28 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		t.Fatalf("reference run produced no report:\n%s", wantOut)
 	}
 
-	jnl := filepath.Join(t.TempDir(), "crash.jnl")
-	cmd := exec.Command(os.Args[0], sweepArgs("-journal", jnl)...)
+	dir := filepath.Join(t.TempDir(), "cache")
+	args := sweepArgs("-cache", dir)
+	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "LEAKSWEEP_RUN_MAIN=1")
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Kill as soon as at least one job is journaled but (hopefully) before
-	// the sweep finishes.  If the process wins the race and completes, the
-	// resume below simply reuses everything — the assertion holds either way.
-	waitForRecords(t, jnl, 1)
+	// Kill as soon as at least one job is cached but (hopefully) before the
+	// sweep finishes.  If the process wins the race and completes, the rerun
+	// below simply reuses everything — the assertions hold either way.
+	waitForCacheRecord(t, dir)
 	cmd.Process.Kill() // SIGKILL: no flush, no handler, nothing
 	cmd.Wait()
 
-	recsBefore, err := cmpleak.LoadSweepJournal(jnl)
-	if err != nil {
-		t.Fatalf("journal unreadable after SIGKILL: %v", err)
-	}
-	t.Logf("killed with %d of 8 jobs journaled", len(recsBefore))
-
-	gotOut, gotErr, code := runMain(t, sweepArgs("-journal", jnl, "-resume"))
+	gotOut, gotErr, code := runMain(t, args)
 	if code != 0 {
-		t.Fatalf("resume run exited %d:\n%s", code, gotErr)
+		t.Fatalf("rerun exited %d:\n%s", code, gotErr)
 	}
-	if !strings.Contains(gotErr, "resuming from") {
-		t.Fatalf("resume run did not announce the resume:\n%s", gotErr)
+	reused, recorded := cacheCounts(t, gotErr)
+	t.Logf("killed with %d of 8 jobs cached", reused)
+	if reused < 1 || reused+recorded != 8 {
+		t.Fatalf("rerun reused %d and recorded %d jobs; want >= 1 reused and 8 in total", reused, recorded)
 	}
 	if gotOut != wantOut {
 		t.Fatalf("resumed stdout diverged from the uninterrupted run\n--- want ---\n%s\n--- got ---\n%s", wantOut, gotOut)
@@ -152,27 +169,6 @@ func TestCacheWarmRunByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCacheComposesWithJournalResume runs -cache and -journal together.
-func TestCacheComposesWithJournalResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real simulations")
-	}
-	dir := t.TempDir()
-	cacheDir := filepath.Join(dir, "cache")
-	jnl := filepath.Join(dir, "run.jnl")
-	wantOut, _, code := runMain(t, sweepArgs())
-	if code != 0 {
-		t.Fatal("reference run failed")
-	}
-	gotOut, gotErr, code := runMain(t, sweepArgs("-cache", cacheDir, "-journal", jnl, "-resume"))
-	if code != 0 {
-		t.Fatalf("cache+journal run exited %d:\n%s", code, gotErr)
-	}
-	if gotOut != wantOut {
-		t.Fatal("cache+journal stdout diverged from plain run")
-	}
-}
-
 func TestCacheRefusedWithMerge(t *testing.T) {
 	_, stderr, code := runMain(t, []string{"-merge", "nope*.json", "-cache", "c"})
 	if code == 0 {
@@ -183,45 +179,16 @@ func TestCacheRefusedWithMerge(t *testing.T) {
 	}
 }
 
-// TestJournalRefusesStaleWithoutResume proves an existing journal is never
-// silently overwritten.
-func TestJournalRefusesStaleWithoutResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real simulations")
-	}
-	jnl := filepath.Join(t.TempDir(), "done.jnl")
-	if _, _, code := runMain(t, sweepArgs("-journal", jnl)); code != 0 {
-		t.Fatalf("journaled run exited %d", code)
-	}
-	_, stderr, code := runMain(t, sweepArgs("-journal", jnl))
-	if code == 0 {
-		t.Fatal("rerun over a populated journal succeeded without -resume")
-	}
-	if !strings.Contains(stderr, "-resume") {
-		t.Fatalf("refusal does not point at -resume:\n%s", stderr)
-	}
-}
-
-// TestResumeRequiresJournal pins the flag contract.
-func TestResumeRequiresJournal(t *testing.T) {
-	_, stderr, code := runMain(t, sweepArgs("-resume"))
-	if code == 0 {
-		t.Fatal("-resume without -journal accepted")
-	}
-	if !strings.Contains(stderr, "-journal") {
-		t.Fatalf("error does not mention -journal:\n%s", stderr)
-	}
-}
-
 // TestSigintGracefulShutdown sends SIGINT mid-sweep: the process must exit
-// 130, flush the journal, and print the exact resume invocation.
+// 130, flush the cache, and print the unchanged command, whose rerun then
+// resumes from the cache.
 func TestSigintGracefulShutdown(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	jnl := filepath.Join(t.TempDir(), "int.jnl")
 	// -jobs 1 stretches the run so the signal lands before completion.
-	args := sweepArgs("-journal", jnl)
+	dir := filepath.Join(t.TempDir(), "cache")
+	args := sweepArgs("-cache", dir)
 	for i, a := range args {
 		if a == "-jobs" {
 			args[i+1] = "1"
@@ -234,7 +201,7 @@ func TestSigintGracefulShutdown(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitForRecords(t, jnl, 1)
+	waitForCacheRecord(t, dir)
 	cmd.Process.Signal(syscall.SIGINT)
 	err := cmd.Wait()
 	ee, ok := err.(*exec.ExitError)
@@ -244,17 +211,21 @@ func TestSigintGracefulShutdown(t *testing.T) {
 	if !ok || ee.ExitCode() != 130 {
 		t.Fatalf("interrupted run exited %v, want code 130\n%s", err, errBuf.String())
 	}
-	for _, want := range []string{"canceled", "resume with", "-resume"} {
+	rerun := strings.Join(append([]string{os.Args[0]}, args...), " ")
+	for _, want := range []string{"canceled", "completed jobs are cached; rerun the same command to resume", rerun} {
 		if !strings.Contains(errBuf.String(), want) {
 			t.Fatalf("shutdown message missing %q:\n%s", want, errBuf.String())
 		}
 	}
-	// The journal must be loadable and feed a clean resume.
-	gotOut, _, code := runMain(t, sweepArgs("-journal", jnl, "-resume"))
+	// The printed command must resume cleanly from the cache.
+	gotOut, gotErr, code := runMain(t, args)
 	if code != 0 {
-		t.Fatalf("resume after SIGINT exited %d", code)
+		t.Fatalf("rerun after SIGINT exited %d:\n%s", code, gotErr)
 	}
 	if !strings.Contains(gotOut, "Figure") {
-		t.Fatal("resume after SIGINT produced no report")
+		t.Fatal("rerun after SIGINT produced no report")
+	}
+	if reused, _ := cacheCounts(t, gotErr); reused < 1 {
+		t.Fatalf("rerun after SIGINT reused %d jobs, want >= 1", reused)
 	}
 }

@@ -192,41 +192,9 @@ func RunScenarioCellsContext(ctx context.Context, cells []ScenarioCell, p SweepP
 }
 
 // ScenarioNamedOptions converts expanded cells to the pool's batch input
-// (used to build resume sets against exactly the sweeps that will run).
+// (used to wire the result cache against exactly the sweeps that will run).
 func ScenarioNamedOptions(cells []ScenarioCell) []NamedSweepOptions {
 	return scenario.NamedOptions(cells)
-}
-
-// SweepJournal is an open crash-safe cell journal: an append-only,
-// CRC-framed record file written as each job completes, so an interrupted
-// sweep resumes from its last completed job instead of restarting.
-type SweepJournal = experiment.Journal
-
-// SweepJournalRecord is one completed job in a journal: the sweep it
-// belongs to (cell name + options digest), the job key and the full result.
-type SweepJournalRecord = experiment.JournalRecord
-
-// SweepResumeSet indexes journal records for reuse by the pool; build it
-// with BuildSweepResumeSet and pass Lookup as SweepParallelism.Reuse.
-type SweepResumeSet = experiment.ResumeSet
-
-// OpenSweepJournal opens (creating if needed) the journal at path for
-// appending and returns the records already in it; a torn or corrupt tail
-// is truncated away first.
-func OpenSweepJournal(path string) (*SweepJournal, []SweepJournalRecord, error) {
-	return experiment.OpenJournal(path)
-}
-
-// LoadSweepJournal reads the records of the journal at path without opening
-// it for writing.
-func LoadSweepJournal(path string) ([]SweepJournalRecord, error) {
-	return experiment.LoadJournal(path)
-}
-
-// BuildSweepResumeSet filters journal records against the sweeps about to
-// run: only records whose cell name and options digest match are reused.
-func BuildSweepResumeSet(cells []NamedSweepOptions, recs []SweepJournalRecord) *SweepResumeSet {
-	return experiment.BuildResumeSet(cells, recs)
 }
 
 // SweepShard is the JSON-serialisable snapshot of one sweep invocation

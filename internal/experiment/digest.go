@@ -11,10 +11,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"hash"
 	"math"
 
+	"cmpleak/internal/config"
 	"cmpleak/internal/core"
+	"cmpleak/internal/decay"
 )
 
 // hashedResultFields is the number of core.Result struct fields hashResult
@@ -96,6 +100,33 @@ func (s *Sweep) Digest() string {
 		hashStr(h, k.String())
 		r, _ := s.Result(k.Benchmark, k.SizeMB, k.Technique)
 		hashResult(h, r)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Digest returns a hex SHA-256 identifying everything that determines this
+// Options' results: the full base system, the axes, scale, seed and shard
+// slice.  Two Options digest equal iff a job key means the same simulation
+// under both — the property the content-addressed result cache keys on.
+func (o Options) Digest() string {
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	// JSON field order is struct declaration order, so the encoding — and
+	// therefore the digest — is deterministic.
+	err := enc.Encode(struct {
+		Base         config.System
+		Benchmarks   []string
+		CacheSizesMB []int
+		Techniques   []decay.Spec
+		Scale        float64
+		Seed         uint64
+		ShardIndex   int
+		ShardCount   int
+	}{o.Base, o.Benchmarks, o.CacheSizesMB, o.Techniques, o.Scale, o.Seed, o.ShardIndex, o.ShardCount})
+	if err != nil {
+		// config.System is a plain data struct; encoding it cannot fail
+		// short of a programming error, which should not be silent.
+		panic(fmt.Sprintf("experiment: options digest encoding failed: %v", err))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -58,8 +58,8 @@ type Parallelism struct {
 	Retry RetryPolicy
 	// Reuse, when non-nil, is consulted once per job before it is queued: a
 	// hit places the recorded result straight into the job's slot and the
-	// job never runs — the journal/resume layer skips already-completed
-	// cells this way.  Reused jobs are excluded from Done/Total.
+	// job never runs — the result cache serves already-completed jobs this
+	// way.  Reused jobs are excluded from Done/Total.
 	Reuse func(cell string, key Key) (core.Result, bool)
 }
 
@@ -75,8 +75,8 @@ type JobEvent struct {
 	Index int
 	// Err is the job's failure, nil on success.
 	Err error
-	// Result is the job's result on success (zero on failure); the journal
-	// layer persists it from this event.
+	// Result is the job's result on success (zero on failure); the result
+	// cache persists it from this event.
 	Result core.Result
 	// Done counts jobs completed across the whole batch, this one included;
 	// Total is the batch's job count, so Done == Total marks the last event.
@@ -171,10 +171,10 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 	jobErrs := make([]error, len(flat))
 
 	var (
-		mu     sync.Mutex
-		wg     sync.WaitGroup
-		failed bool
-		done   int
+		mu        sync.Mutex
+		wg        sync.WaitGroup
+		firstFail = len(flat) // lowest failed feed index so far
+		done      int
 	)
 	cancel := make(chan struct{}) // closed under mu on the first failure
 	jobCh := make(chan int)
@@ -183,8 +183,12 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 		go func() {
 			defer wg.Done()
 			for fi := range jobCh {
+				// Only jobs after the earliest failure in feed order are
+				// skipped: every job before it still runs, so the
+				// feed-order-first error does not depend on which worker
+				// happened to fail first.
 				mu.Lock()
-				stop := failed
+				stop := fi > firstFail
 				mu.Unlock()
 				if stop || ctx.Err() != nil {
 					// Drain without simulating: the job may already have
@@ -208,10 +212,10 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 				mu.Lock()
 				if err != nil {
 					jobErrs[fi] = fmt.Errorf("experiment: %s: %w", fj.job.key, err)
-					if !failed {
-						failed = true
+					if firstFail == len(flat) {
 						close(cancel)
 					}
+					firstFail = min(firstFail, fi)
 				} else {
 					results[fj.sweep][fj.index] = res
 				}

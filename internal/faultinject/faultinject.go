@@ -9,7 +9,7 @@
 // draw) — runs the code under test, and disarms.  Schedules are counted and
 // seeded, never clocked, so a given plan injects exactly the same faults at
 // the same hits on every run: the recovery paths above (panic containment,
-// retry/backoff, journal resume) are exercised reproducibly instead of
+// retry/backoff, cache resume) are exercised reproducibly instead of
 // trusted.
 //
 // Disarmed cost: call sites guard with

@@ -1,4 +1,4 @@
-package frame
+package resultcache
 
 import (
 	"bytes"
@@ -6,29 +6,29 @@ import (
 	"testing"
 )
 
-// collect walks data and returns the accepted payload copies plus the valid
-// prefix length.
-func collect(data []byte, maxPayload uint32) ([][]byte, int) {
+// collectFrames walks data and returns the accepted payload copies plus the
+// valid prefix length.
+func collectFrames(data []byte, maxPayload uint32) ([][]byte, int) {
 	var got [][]byte
-	n := Walk(data, maxPayload, func(p []byte) bool {
+	n := walkFrames(data, maxPayload, func(p []byte) bool {
 		got = append(got, append([]byte(nil), p...))
 		return true
 	})
 	return got, n
 }
 
-func TestRoundTrip(t *testing.T) {
+func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{[]byte("alpha"), {}, []byte("a longer payload with bytes \x00\xff"), []byte("z")}
 	var buf []byte
 	want := 0
 	for _, p := range payloads {
-		buf = Append(buf, p)
-		want += Size(len(p))
+		buf = appendFrame(buf, p)
+		want += frameSize(len(p))
 	}
 	if len(buf) != want {
 		t.Fatalf("encoded %d bytes, Size sums to %d", len(buf), want)
 	}
-	got, valid := collect(buf, 0)
+	got, valid := collectFrames(buf, 0)
 	if valid != len(buf) {
 		t.Fatalf("valid prefix %d, want %d", valid, len(buf))
 	}
@@ -42,68 +42,68 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWalkStopsAtTornHeader(t *testing.T) {
-	buf := Append(nil, []byte("whole"))
+func TestFrameWalkStopsAtTornHeader(t *testing.T) {
+	buf := appendFrame(nil, []byte("whole"))
 	whole := len(buf)
 	buf = append(buf, 0x01, 0x02, 0x03) // 3 bytes cannot hold a header
-	got, valid := collect(buf, 0)
+	got, valid := collectFrames(buf, 0)
 	if len(got) != 1 || valid != whole {
 		t.Fatalf("got %d payloads, valid %d; want 1 payload, valid %d", len(got), valid, whole)
 	}
 }
 
-func TestWalkStopsAtTruncatedPayload(t *testing.T) {
-	buf := Append(nil, []byte("whole"))
+func TestFrameWalkStopsAtTruncatedPayload(t *testing.T) {
+	buf := appendFrame(nil, []byte("whole"))
 	whole := len(buf)
-	buf = Append(buf, []byte("truncated tail"))
+	buf = appendFrame(buf, []byte("truncated tail"))
 	buf = buf[:len(buf)-5]
-	got, valid := collect(buf, 0)
+	got, valid := collectFrames(buf, 0)
 	if len(got) != 1 || valid != whole {
 		t.Fatalf("got %d payloads, valid %d; want 1 payload, valid %d", len(got), valid, whole)
 	}
 }
 
-func TestWalkStopsAtCorruptPayload(t *testing.T) {
-	buf := Append(nil, []byte("first"))
+func TestFrameWalkStopsAtCorruptPayload(t *testing.T) {
+	buf := appendFrame(nil, []byte("first"))
 	whole := len(buf)
-	buf = Append(buf, []byte("second"))
+	buf = appendFrame(buf, []byte("second"))
 	buf[len(buf)-1] ^= 0xff
-	got, valid := collect(buf, 0)
+	got, valid := collectFrames(buf, 0)
 	if len(got) != 1 || valid != whole {
 		t.Fatalf("got %d payloads, valid %d; want 1 payload, valid %d", len(got), valid, whole)
 	}
 }
 
-func TestWalkBoundsPayloadLength(t *testing.T) {
+func TestFrameWalkBoundsPayloadLength(t *testing.T) {
 	// A frame whose length field claims more than maxPayload stops the walk
 	// even when the data after it happens to be long enough.
-	var hdr [HeaderSize]byte
+	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], 1<<30)
-	buf := append(Append(nil, []byte("ok")), hdr[:]...)
+	buf := append(appendFrame(nil, []byte("ok")), hdr[:]...)
 	buf = append(buf, make([]byte, 64)...)
-	got, valid := collect(buf, 1<<20)
-	if len(got) != 1 || valid != Size(2) {
-		t.Fatalf("got %d payloads, valid %d; want 1 payload, valid %d", len(got), valid, Size(2))
+	got, valid := collectFrames(buf, 1<<20)
+	if len(got) != 1 || valid != frameSize(2) {
+		t.Fatalf("got %d payloads, valid %d; want 1 payload, valid %d", len(got), valid, frameSize(2))
 	}
 }
 
-func TestWalkStopsWhenFnRejects(t *testing.T) {
-	buf := Append(Append(Append(nil, []byte("a")), []byte("bad")), []byte("c"))
+func TestFrameWalkStopsWhenFnRejects(t *testing.T) {
+	buf := appendFrame(appendFrame(appendFrame(nil, []byte("a")), []byte("bad")), []byte("c"))
 	var seen []string
-	valid := Walk(buf, 0, func(p []byte) bool {
+	valid := walkFrames(buf, 0, func(p []byte) bool {
 		if string(p) == "bad" {
 			return false
 		}
 		seen = append(seen, string(p))
 		return true
 	})
-	if len(seen) != 1 || seen[0] != "a" || valid != Size(1) {
-		t.Fatalf("seen %v, valid %d; want [a], valid %d", seen, valid, Size(1))
+	if len(seen) != 1 || seen[0] != "a" || valid != frameSize(1) {
+		t.Fatalf("seen %v, valid %d; want [a], valid %d", seen, valid, frameSize(1))
 	}
 }
 
-func TestWalkEmpty(t *testing.T) {
-	if got, valid := collect(nil, 0); len(got) != 0 || valid != 0 {
+func TestFrameWalkEmpty(t *testing.T) {
+	if got, valid := collectFrames(nil, 0); len(got) != 0 || valid != 0 {
 		t.Fatalf("empty walk returned %d payloads, valid %d", len(got), valid)
 	}
 }

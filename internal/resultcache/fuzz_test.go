@@ -13,8 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
-
-	"cmpleak/internal/frame"
 )
 
 func FuzzCacheRecord(f *testing.F) {
@@ -22,7 +20,7 @@ func FuzzCacheRecord(f *testing.F) {
 	empty := []byte(segMagic)
 	f.Add([]byte{})
 	f.Add(empty)
-	f.Add([]byte("CMPLJNL1")) // journal magic is not a cache segment
+	f.Add([]byte("CMPLJNL1")) // another format's magic is not a cache segment
 
 	rec := testRecord("seed-digest", 0)
 	rec.Anchor = "seed-anchor"
@@ -30,14 +28,14 @@ func FuzzCacheRecord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	one := frame.Append(append([]byte{}, empty...), payload)
+	one := appendFrame(append([]byte{}, empty...), payload)
 	f.Add(one)
 	f.Add(one[:len(one)-3])                                   // torn payload
 	f.Add(append(append([]byte{}, one...), 0xff, 0xff, 0xff)) // garbage tail
 	flipped := append([]byte{}, one...)
 	flipped[len(flipped)-1] ^= 0x40 // CRC mismatch
 	f.Add(flipped)
-	notJSON := frame.Append(append([]byte{}, empty...), []byte("not json"))
+	notJSON := appendFrame(append([]byte{}, empty...), []byte("not json"))
 	f.Add(notJSON)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

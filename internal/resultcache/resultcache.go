@@ -1,6 +1,8 @@
 // Package resultcache is the shared, persistent, content-addressed result
-// store: the promotion of the per-run sweep journal (experiment.Journal)
-// into a cache that outlives runs, processes and clients.
+// store and the one persistence layer of a sweep: every completed job is
+// written through to it, and re-running an interrupted sweep with the same
+// store reuses every job that already landed, so "resume" is simply running
+// the same command again.  The store outlives runs, processes and clients.
 //
 // Every simulated cell result is stored under the pair
 //
@@ -19,12 +21,13 @@
 // # On-disk layout
 //
 // A store is a directory of append-only segment files, seg-NNNNNNNN.cas,
-// each a "CMPLCAS1" magic followed by internal/frame frames whose payloads
-// are JSON Records.  Appends go to the highest-numbered segment, one write
-// per record with batched fsync (the journal's crash-safety discipline: a
-// torn tail is truncated on open, a kill loses at most the record in
-// flight).  Within and across segments, the last record for a key wins, so
-// compaction can leave duplicates behind without ambiguity.
+// each a "CMPLCAS1" magic followed by length-prefixed, CRC-checked frames
+// (frame.go) whose payloads are JSON Records.  Appends go to the
+// highest-numbered segment, one write per record with batched fsync: a kill
+// loses at most the record in flight, and a torn tail is truncated (and the
+// truncation synced) on open.  Within and across segments, the last record
+// for a key wins, so compaction can leave duplicates behind without
+// ambiguity.
 //
 // # Eviction and compaction
 //
@@ -41,9 +44,9 @@
 //
 // The store is safe for concurrent use within one process.  It is not a
 // multi-process store: two processes appending to one directory will
-// interleave writes into the same segment.  Run one leakserved per cache
-// directory, or point CLI runs at their own directory and let the digest
-// keying deduplicate when a daemon later adopts it.
+// interleave writes into the same segment.  Use each directory from one
+// process at a time: one leakserved per cache directory, and concurrent
+// `leaksweep -shard` processes each with their own -cache directory.
 package resultcache
 
 import (
@@ -58,7 +61,6 @@ import (
 
 	"cmpleak/internal/core"
 	"cmpleak/internal/experiment"
-	"cmpleak/internal/frame"
 )
 
 // segMagic opens every segment file; the trailing digit is the format
@@ -75,8 +77,7 @@ const syncEvery = 8
 
 // ErrStore reports a directory or segment that cannot be used as a store at
 // all (not a directory, segment with a foreign magic).  Torn or corrupt
-// segment tails are not errors — they are truncated away, exactly like the
-// journal's.
+// segment tails are not errors — they are truncated away.
 var ErrStore = errors.New("resultcache: invalid store")
 
 // Record is one cached cell result.
@@ -162,7 +163,8 @@ type Store struct {
 	stats  Stats
 }
 
-// fileSync is the durability seam (shared discipline with the journal's).
+// fileSync is the durability seam: every store fsync goes through it, so
+// the tests can count sync points.
 var fileSync = (*os.File).Sync
 
 func syncDir(dir string) error {
@@ -204,12 +206,12 @@ func decodeSegment(data []byte, fn func(rec Record, framedSize int64)) (int, err
 	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
 		return 0, fmt.Errorf("%w: missing %q magic", ErrStore, segMagic)
 	}
-	valid := frame.Walk(data[len(segMagic):], maxPayload, func(payload []byte) bool {
+	valid := walkFrames(data[len(segMagic):], maxPayload, func(payload []byte) bool {
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return false // CRC-valid but undecodable: start of garbage
 		}
-		fn(rec, int64(frame.Size(len(payload))))
+		fn(rec, int64(frameSize(len(payload))))
 		return true
 	})
 	return len(segMagic) + valid, nil
@@ -265,7 +267,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		if valid < len(data) && n == segs[len(segs)-1] {
 			// Heal the active segment's torn tail so appends land after the
 			// last whole record.
-			if err := os.Truncate(path, int64(valid)); err != nil {
+			if err := healTail(path, int64(valid)); err != nil {
 				return nil, fmt.Errorf("%s: truncating torn tail: %w", path, err)
 			}
 		}
@@ -282,6 +284,24 @@ func Open(dir string, opt Options) (*Store, error) {
 	// under a smaller budget trims itself immediately.
 	s.evictOver()
 	return s, nil
+}
+
+// healTail truncates the segment at path to size and syncs the truncation:
+// a crash after appends resume but before the next batched sync must not
+// resurrect the torn bytes in front of new records.
+func healTail(path string, size int64) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	err = f.Truncate(size)
+	if err == nil {
+		err = fileSync(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // load installs one reloaded record (replay of the append path without the
@@ -359,7 +379,7 @@ func (s *Store) Put(rec Record) error {
 	if err != nil {
 		return fmt.Errorf("resultcache: encoding record: %w", err)
 	}
-	buf := frame.Append(nil, payload)
+	buf := appendFrame(nil, payload)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -447,8 +467,8 @@ func (s *Store) compactLocked() error {
 			os.Remove(tmp)
 			return fmt.Errorf("resultcache: compacting: %w", err)
 		}
-		buf = frame.Append(buf, payload)
-		e.size = int64(frame.Size(len(payload)))
+		buf = appendFrame(buf, payload)
+		e.size = int64(frameSize(len(payload)))
 	}
 	if _, err := f.Write(buf); err != nil {
 		f.Close()
@@ -512,6 +532,36 @@ func (s *Store) ReuseFor(cells []experiment.NamedOptions) func(cell string, key 
 		}
 		return s.Get(d, key)
 	}
+}
+
+// Wire returns p with the store wired into it for the batch cells: Reuse
+// serves every job the store already holds (replacing any Reuse p had), and
+// Progress writes each successfully simulated job through to the store,
+// keyed by its sweep's options digest, before calling p's own Progress.  A
+// failed write never fails the run — the result is already in its sweep
+// slot — and is reported to onPutErr when non-nil.  Re-running an
+// interrupted batch through Wire therefore simulates exactly the jobs that
+// never landed.  The closures are built once per call; no per-job state is
+// allocated beyond the record write itself.
+func (s *Store) Wire(p experiment.Parallelism, cells []experiment.NamedOptions, onPutErr func(error)) experiment.Parallelism {
+	digests := make([]string, len(cells))
+	for i := range cells {
+		digests[i] = cells[i].Options.Digest()
+	}
+	p.Reuse = s.ReuseFor(cells)
+	inner := p.Progress
+	p.Progress = func(ev experiment.JobEvent) {
+		if ev.Err == nil {
+			err := s.Put(Record{Cell: ev.Cell, OptionsDigest: digests[ev.Sweep], Key: ev.Key, Result: ev.Result})
+			if err != nil && onPutErr != nil {
+				onPutErr(err)
+			}
+		}
+		if inner != nil {
+			inner(ev)
+		}
+	}
+	return p
 }
 
 // Stats returns a snapshot of the store's counters.

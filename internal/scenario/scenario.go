@@ -41,9 +41,9 @@
 // "stat:<spec>", but not mixes themselves.  Each mix expands into the
 // self-describing benchmark string "mix:<name>=<e1>|<e2>|..." alongside the
 // plain benchmarks of every cell, which is exactly what lands in
-// experiment.Options.Benchmarks — so result-cache keys, journal resume and
-// sweep digests distinguish mixes with no extra plumbing.  benchmarks may
-// be empty when mixes is not.
+// experiment.Options.Benchmarks — so result-cache keys and sweep digests
+// distinguish mixes with no extra plumbing.  benchmarks may be empty when
+// mixes is not.
 //
 // An override applies to every cell matching its selectors (l2_mb and cores;
 // zero/omitted means "any") and rewrites the decay interval of every

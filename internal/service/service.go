@@ -382,7 +382,7 @@ func (s *Server) executor() {
 		r.cancel = cancel
 		s.appendEventLocked(r, Event{Type: "state", State: StateRunning})
 		named := scenario.NamedOptions(r.cells)
-		p := s.parallelism(r)
+		p := s.parallelism(r, named)
 		s.mu.Unlock()
 
 		sweeps, err := s.exec(ctx, named, p)
@@ -410,41 +410,13 @@ func (s *Server) executor() {
 }
 
 // parallelism builds one run's pool configuration: the shared worker count,
-// the cache Reuse hook (counting hits and lookups) and a Progress callback
-// that writes each completed job through to the store and logs a job event.
-// Called with s.mu held; the returned callbacks take s.mu themselves.
-func (s *Server) parallelism(r *run) experiment.Parallelism {
+// a Progress callback that logs a job event, and with a store the cache
+// wired in through resultcache.Store.Wire, its Reuse hook wrapped to count
+// hits and lookups.  Called with s.mu held; the returned callbacks take s.mu
+// themselves.
+func (s *Server) parallelism(r *run, named []experiment.NamedOptions) experiment.Parallelism {
 	p := experiment.Parallelism{Workers: s.cfg.Workers}
-	digests := make(map[string]string, len(r.cells))
-	for i := range r.cells {
-		digests[r.cells[i].Name] = r.digests[i]
-	}
-	if s.cfg.Store != nil {
-		p.Reuse = func(cell string, key experiment.Key) (core.Result, bool) {
-			res, ok := s.cfg.Store.Get(digests[cell], key)
-			s.mu.Lock()
-			s.cacheLookups++
-			if ok {
-				s.cacheHits++
-				r.cached++
-			}
-			s.mu.Unlock()
-			return res, ok
-		}
-	}
 	p.Progress = func(ev experiment.JobEvent) {
-		if ev.Err == nil && s.cfg.Store != nil {
-			if perr := s.cfg.Store.Put(resultcache.Record{
-				Cell: ev.Cell, OptionsDigest: digests[ev.Cell], Key: ev.Key, Result: ev.Result,
-			}); perr != nil {
-				// A cache write failure must not fail the run: the result is
-				// already in its sweep slot.  Surface it in the event stream.
-				s.mu.Lock()
-				s.appendEventLocked(r, Event{Type: "state", State: r.state,
-					Error: fmt.Sprintf("cache write: %v", perr)})
-				s.mu.Unlock()
-			}
-		}
 		s.mu.Lock()
 		if ev.Err == nil {
 			r.jobsDone++
@@ -455,6 +427,29 @@ func (s *Server) parallelism(r *run) experiment.Parallelism {
 			Type: "job", Cell: ev.Cell, Key: &key, Done: ev.Done, Total: ev.Total,
 		})
 		s.mu.Unlock()
+	}
+	if s.cfg.Store == nil {
+		return p
+	}
+	p = s.cfg.Store.Wire(p, named, func(err error) {
+		// A cache write failure must not fail the run: the result is
+		// already in its sweep slot.  Surface it in the event stream.
+		s.mu.Lock()
+		s.appendEventLocked(r, Event{Type: "state", State: r.state,
+			Error: fmt.Sprintf("cache write: %v", err)})
+		s.mu.Unlock()
+	})
+	reuse := p.Reuse
+	p.Reuse = func(cell string, key experiment.Key) (core.Result, bool) {
+		res, ok := reuse(cell, key)
+		s.mu.Lock()
+		s.cacheLookups++
+		if ok {
+			s.cacheHits++
+			r.cached++
+		}
+		s.mu.Unlock()
+		return res, ok
 	}
 	return p
 }

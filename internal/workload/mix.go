@@ -10,7 +10,7 @@ package workload
 //
 // The spec string is the mix's whole identity — elements, order, name — so
 // everything keyed on benchmark strings (experiment.Options.Digest, the
-// result cache, journal resume) distinguishes mixes for free, with no
+// result cache) distinguishes mixes for free, with no
 // registry of out-of-band definitions to drift from the key.
 
 import (

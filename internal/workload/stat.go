@@ -11,7 +11,7 @@ package workload
 // drawn deterministically from a hash of the spec string, so the spec alone
 // pins the workload: the same string always describes the same program, on
 // any machine, and everything keyed on benchmark strings (result cache,
-// journal resume, scenario digests) identifies it for free.  The seed picks
+// scenario digests) identifies it for free.  The seed picks
 // the per-core sample path through that fixed program, exactly as it picks
 // the RNG path of the built-in benchmarks.
 //
