@@ -36,22 +36,25 @@ test:
 
 # test-allocs re-runs the 0-allocs/op guards on the scheduler drain loop,
 # the steady-state load-hit, load-miss, decay-tick, victim-selection,
-# stream-refill, trace-replay and stats-observe paths explicitly, so an
+# stream-refill, trace-replay and stats-observe paths explicitly, plus the
+# byte bound on capturing a workload into an in-memory trace, so an
 # allocation regression fails CI with a focused message even when the main
 # test run is filtered.
 test-allocs:
-	$(GO) test -count 1 -run 'AllocationFree' \
+	$(GO) test -count 1 -run 'AllocationFree|AllocationBound' \
 		./internal/sim ./internal/cache ./internal/core ./internal/decay \
 		./internal/workload ./internal/stats ./internal/trace
 
 # test-faults runs the whole fault-tolerance surface under the race
 # detector: fault injection, panic containment, retry/backoff, context
-# cancellation, and the SIGKILL crash-resume and SIGINT integration tests
-# of `leaksweep -cache`.  Recovery paths are exercised, never trusted.
+# cancellation, the pool's shared-workload capture (its failure, cancel and
+# panic paths included), and the SIGKILL crash-resume and SIGINT
+# integration tests of `leaksweep -cache`.  Recovery paths are exercised,
+# never trusted.
 test-faults:
 	$(GO) test -race -count 1 ./internal/faultinject
 	$(GO) test -race -count 1 \
-		-run 'Fault|Panic|Retry|Resume|Context|Backoff|Transient|TraceBenchmark|TraceFile|FailsBeforeSimulating' \
+		-run 'Fault|Panic|Retry|Resume|Context|Backoff|Transient|TraceBenchmark|TraceFile|FailsBeforeSimulating|Share' \
 		./internal/experiment ./internal/trace ./internal/scenario ./cmd/leaksweep
 
 # test-service runs the sweep-service surface under the race detector: the

@@ -200,7 +200,7 @@ func (c *Controller) Read(block mem.Addr, done cache.DoneFunc, arg any) {
 	if hit && c.LineState(set, way).Valid() {
 		c.ReadHits.Inc()
 		c.arr.Hits.Inc()
-		c.arr.Touch(set, way, c.eng.Now())
+		c.arr.Touch(set, way)
 		if c.tech != nil {
 			c.tech.OnHit(c, set, way, c.LineState(set, way))
 		}
@@ -237,7 +237,7 @@ func (c *Controller) Write(block mem.Addr, done cache.DoneFunc, arg any) {
 			c.WriteHits.Inc()
 			c.arr.Hits.Inc()
 			c.Upgrades.Inc()
-			c.arr.Touch(set, way, c.eng.Now())
+			c.arr.Touch(set, way)
 			u := c.freeUpgr
 			if u == nil {
 				u = &upgradeReq{}
@@ -289,7 +289,7 @@ func (c *Controller) finishUpgrade(a any, txn coherence.Transaction, _ coherence
 func (c *Controller) writeHit(block mem.Addr, set, way int, done cache.DoneFunc, arg any) {
 	c.WriteHits.Inc()
 	c.arr.Hits.Inc()
-	c.arr.Touch(set, way, c.eng.Now())
+	c.arr.Touch(set, way)
 	c.arr.Line(set, way).Dirty = true
 	if c.tech != nil {
 		c.tech.OnHit(c, set, way, coherence.Modified)
@@ -344,10 +344,10 @@ func (c *Controller) fill(block mem.Addr, res coherence.BusResult) {
 	if !hit {
 		way = c.arr.Victim(set)
 		c.evictForFill(set, way)
-		c.arr.Install(block, set, way, now)
+		c.arr.Install(block, set, way)
 		c.arr.PowerOn(set, way, now)
 	} else {
-		c.arr.Touch(set, way, now)
+		c.arr.Touch(set, way)
 	}
 	ln := c.arr.Line(set, way)
 	var st coherence.State

@@ -12,6 +12,7 @@ import (
 	"cmpleak/internal/power"
 	"cmpleak/internal/sim"
 	"cmpleak/internal/thermal"
+	"cmpleak/internal/workload"
 )
 
 // System assembles the full CMP of Figure 1 — cores, write-through L1s with
@@ -45,8 +46,15 @@ type System struct {
 	maxTempObserved float64
 }
 
-// NewSystem builds and wires the CMP described by the configuration.
-func NewSystem(cfg config.System) (*System, error) {
+// NewSystem builds and wires the CMP described by the configuration,
+// generating its workload live.
+func NewSystem(cfg config.System) (*System, error) { return NewSystemWith(cfg, nil) }
+
+// NewSystemWith builds the CMP over a supplied workload generator, which
+// replaces cfg.Workload() and must produce the same streams for cfg.Cores
+// and cfg.Seed (the sweep runtime passes a captured trace of that
+// workload).  A nil gen generates the workload live, exactly as NewSystem.
+func NewSystemWith(cfg config.System, gen workload.Generator) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -54,8 +62,11 @@ func NewSystem(cfg config.System) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen, err := cfg.Workload()
-	if err != nil {
+	if gen == nil {
+		if gen, err = cfg.Workload(); err != nil {
+			return nil, err
+		}
+	} else if err := workload.CheckCores(gen, cfg.Cores); err != nil {
 		return nil, err
 	}
 

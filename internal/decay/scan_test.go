@@ -41,7 +41,7 @@ func populate(m *mockController) {
 		case 4:
 			st = coherence.TransientDirty
 		}
-		arr.Install(0, set, way, 0)
+		arr.Install(0, set, way)
 		ln := arr.Line(set, way)
 		ln.Tag = 0 // tag is irrelevant here; the scan never reads it
 		arr.PowerOn(set, way, 0)

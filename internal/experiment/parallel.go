@@ -8,11 +8,13 @@ package experiment
 // over intra-run parallelism), so the parallelism unit is the job — one
 // (benchmark, size, technique) simulation with its own core.System and
 // engine.  Jobs are independent: each builds its configuration from the
-// sweep's immutable Options, so N workers hold N engines and share nothing
-// but the job queue and the result collector.  Because every job is
-// deterministic in isolation, the assembled Sweep — Digest(), figures,
-// rendered report — is byte-identical whatever the worker count or
-// completion order; the golden anchors pin that.
+// sweep's immutable Options, so N workers hold N engines and share only the
+// job queue, the result collector and immutable captured traces — each
+// workload that two or more queued jobs need is generated once and replayed
+// by all of them (share.go).  Because every job is deterministic in
+// isolation and a replay yields exactly the live entries, the assembled
+// Sweep — Digest(), figures, rendered report — is byte-identical whatever
+// the worker count or completion order; the golden anchors pin that.
 //
 // Fault tolerance (PR 8) lives at the job boundary.  A panicking job is
 // recovered inside its worker and becomes a JobPanicError — the pool drains
@@ -38,6 +40,7 @@ import (
 	"sync"
 	"time"
 
+	"cmpleak/internal/config"
 	"cmpleak/internal/core"
 )
 
@@ -125,12 +128,20 @@ func RunParallelAll(cells []NamedOptions, p Parallelism) ([]*Sweep, error) {
 
 // RunParallelAllContext is RunParallelAll with cancellation via ctx.
 func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallelism) ([]*Sweep, error) {
+	sweeps, _, err := runPool(ctx, cells, p)
+	return sweeps, err
+}
+
+// runPool is RunParallelAllContext; it also returns the pool's share table
+// (nil when validation failed first), so tests can check that every shared
+// workload was dropped by the time the pool returned.
+func runPool(ctx context.Context, cells []NamedOptions, p Parallelism) ([]*Sweep, *shares, error) {
 	for i := range cells {
 		if err := cells[i].Options.Validate(); err != nil {
 			if cells[i].Name != "" {
-				return nil, fmt.Errorf("%s: %w", cells[i].Name, err)
+				return nil, nil, fmt.Errorf("%s: %w", cells[i].Name, err)
 			}
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
@@ -143,10 +154,12 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 		job          job
 	}
 	var flat []flatJob
+	var cfgs []config.System // per flat job: its simulated configuration
 	perSweep := make([][]job, len(cells))
 	results := make([][]core.Result, len(cells))
 	for si := range cells {
-		js := cells[si].Options.jobs()
+		opts := &cells[si].Options
+		js := opts.jobs()
 		perSweep[si] = js
 		results[si] = make([]core.Result, len(js))
 		for ji, j := range js {
@@ -156,9 +169,19 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 					continue
 				}
 			}
+			cfg := opts.Base.
+				WithBenchmark(j.key.Benchmark).
+				WithTotalL2MB(j.key.SizeMB).
+				WithTechnique(j.spec)
+			cfg.WorkloadScale = opts.Scale
+			cfg.Seed = opts.Seed
 			flat = append(flat, flatJob{sweep: si, index: ji, job: j})
+			cfgs = append(cfgs, cfg)
 		}
 	}
+	// Workloads two or more queued jobs share are generated once; see
+	// share.go.
+	sh := newShares(cfgs)
 
 	workers := p.Workers
 	if workers <= 0 {
@@ -194,20 +217,15 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 					// Drain without simulating: the job may already have
 					// been fed when the failure closed the cancel channel
 					// (or the caller's context was canceled).
+					sh.release(cfgs[fi])
 					continue
 				}
 				fj := flat[fi]
-				opts := &cells[fj.sweep].Options
-				cfg := opts.Base.
-					WithBenchmark(fj.job.key.Benchmark).
-					WithTotalL2MB(fj.job.key.SizeMB).
-					WithTechnique(fj.job.spec)
-				cfg.WorkloadScale = opts.Scale
-				cfg.Seed = opts.Seed
 				start := time.Now()
 				res, attempts, err := runAttempts(ctx.Done(), cancel,
-					cells[fj.sweep].Name, fj.job.key, fi, cfg, p.Retry)
+					cells[fj.sweep].Name, fj.job.key, fi, cfgs[fi], sh, p.Retry)
 				elapsed := time.Since(start)
+				sh.release(cfgs[fi])
 
 				mu.Lock()
 				if err != nil {
@@ -241,10 +259,11 @@ func RunParallelAllContext(ctx context.Context, cells []NamedOptions, p Parallel
 			}
 		}()
 	}
+	fed := 0
 feed:
-	for fi := range flat {
+	for ; fed < len(flat); fed++ {
 		select {
-		case jobCh <- fi:
+		case jobCh <- fed:
 		case <-cancel:
 			break feed
 		case <-ctx.Done():
@@ -253,17 +272,20 @@ feed:
 	}
 	close(jobCh)
 	wg.Wait()
+	for _, cfg := range cfgs[fed:] {
+		sh.release(cfg)
+	}
 
 	// Feed-order-first error: deterministic at any worker count.  A caller
 	// cancellation takes precedence — an interrupted sweep reports the
 	// interruption (with how far it got), not whichever transient error a
 	// retry loop was holding when the context fired.
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("experiment: sweep canceled after %d of %d jobs: %w", done, len(flat), err)
+		return nil, sh, fmt.Errorf("experiment: sweep canceled after %d of %d jobs: %w", done, len(flat), err)
 	}
 	for _, err := range jobErrs {
 		if err != nil {
-			return nil, err
+			return nil, sh, err
 		}
 	}
 
@@ -278,5 +300,5 @@ feed:
 		}
 		out[si] = s
 	}
-	return out, nil
+	return out, sh, nil
 }

@@ -130,9 +130,11 @@ func splitmix64(x uint64) uint64 {
 
 // runJobGuarded executes one simulation attempt with the worker's safety
 // net: the fault-injection hook fires first (so tests can fail or crash
-// exactly this boundary), and any panic — injected or real — is converted
-// into a JobPanicError instead of unwinding the pool.
-func runJobGuarded(cell string, key Key, cfg config.System) (res core.Result, err error) {
+// exactly this boundary), then the job's shared workload is captured if it
+// is the first of its identity to need it, and any panic — injected or
+// real, in the capture or the simulation — is converted into a
+// JobPanicError instead of unwinding the pool.
+func runJobGuarded(cell string, key Key, cfg config.System, sh *shares) (res core.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &JobPanicError{Cell: cell, Key: key, Value: v, Stack: debug.Stack()}
@@ -143,7 +145,11 @@ func runJobGuarded(cell string, key Key, cfg config.System) (res core.Result, er
 			return core.Result{}, ferr
 		}
 	}
-	return runJob(cfg)
+	gen, err := sh.generator(cfg)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return runJob(cfg, gen)
 }
 
 // runAttempts drives one job through the retry policy: transient failures
@@ -152,10 +158,10 @@ func runJobGuarded(cell string, key Key, cfg config.System) (res core.Result, er
 // failure cancel channel — aborts the backoff and returns the last error.
 // It reports the result, the number of attempts made, and the final error.
 func runAttempts(done <-chan struct{}, cancel <-chan struct{}, cell string, key Key,
-	jobIndex int, cfg config.System, rp RetryPolicy) (core.Result, int, error) {
+	jobIndex int, cfg config.System, sh *shares, rp RetryPolicy) (core.Result, int, error) {
 	attempts := 0
 	for {
-		res, err := runJobGuarded(cell, key, cfg)
+		res, err := runJobGuarded(cell, key, cfg, sh)
 		attempts++
 		if err == nil {
 			return res, attempts, nil

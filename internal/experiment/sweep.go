@@ -11,6 +11,7 @@ import (
 	"cmpleak/internal/config"
 	"cmpleak/internal/core"
 	"cmpleak/internal/decay"
+	"cmpleak/internal/workload"
 )
 
 // Options selects the portion of the paper's design space to run.
@@ -108,9 +109,17 @@ type Sweep struct {
 // baselineName is the technique label of the always-on runs.
 const baselineName = "baseline"
 
-// runJob executes one configuration; a variable so tests can observe and
-// fail individual jobs.
-var runJob = core.Run
+// runJob executes one configuration over gen, the workload the pool shares
+// among the jobs of its identity (nil: generate it live).  Every job of a
+// sweep runs through it, so tests stub it to observe and fail individual
+// jobs.
+var runJob = func(cfg config.System, gen workload.Generator) (core.Result, error) {
+	s, err := core.NewSystemWith(cfg, gen)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return s.Run()
+}
 
 // job is one simulation of the sweep.
 type job struct {

@@ -534,3 +534,53 @@ func TestConcurrentCompressedReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestCaptureAllocationBound guards the allocation volume of capturing a
+// live workload into an in-memory trace, the path the sweep runtime takes
+// once per shared workload.  Each core's pending chunk must be allocated
+// once at its final size: growing it by append roughly doubled the bytes
+// allocated.  Capturing WATER-NS at scale 0.02 on 4 cores (a ~100 KB
+// trace) allocates ~770 KB, of which ~393 KB are the four pending chunks;
+// the 1000 KiB bound leaves a third of headroom and sits well below the
+// ~1.55 MB that append growth cost.
+func TestCaptureAllocationBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocations; make test-allocs runs this race-free")
+	}
+	gen, err := workload.ByName("WATER-NS", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := func() int {
+		var buf bytes.Buffer
+		w, err := trace.NewWriter(&buf, trace.Header{Cores: 4, LineBytes: 64, Seed: 1, Scale: 0.02, Benchmark: "WATER-NS"},
+			trace.WriterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := trace.Capture(gen, 4, 1, w, trace.CaptureOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	capture() // warm any lazily built package state
+
+	const rounds = 5
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	size := 0
+	for i := 0; i < rounds; i++ {
+		size = capture()
+	}
+	runtime.ReadMemStats(&after)
+	perCapture := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	t.Logf("capture of a %d-byte trace: %.0f bytes allocated", size, perCapture)
+	if perCapture > 1000*1024 {
+		t.Errorf("capturing a %d-byte trace allocates %.0f bytes, want < %d "+
+			"(pending chunks must not grow by append)", size, perCapture, 1000*1024)
+	}
+}

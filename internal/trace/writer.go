@@ -98,6 +98,12 @@ func (tw *Writer) AppendBatch(core int, entries []workload.Entry) error {
 			return tw.fail(fmt.Errorf("trace: unknown op kind %d", e.Op))
 		}
 	}
+	if tw.pend[core] == nil && len(entries) > 0 {
+		// A core's pending chunk is allocated once, at its final size, the
+		// first time the core appends: appends never regrow it, and cores
+		// that record nothing cost nothing.
+		tw.pend[core] = make([]workload.Entry, 0, tw.opts.ChunkEntries)
+	}
 	for len(entries) > 0 {
 		room := tw.opts.ChunkEntries - len(tw.pend[core])
 		take := len(entries)
