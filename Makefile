@@ -97,7 +97,7 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim
 	CMPLEAK_BENCH_SCALE=$(BENCH_SCALE) $(GO) test -run '^$$' \
-		-bench 'BenchmarkRun(Baseline|Protocol|Decay|SelectiveDecay)$$' -benchtime 1x .
+		-bench 'BenchmarkRun(Baseline|Protocol|Decay|SelectiveDecay|AdaptiveDecay)$$' -benchtime 1x .
 
 # bench-selftest vets and self-tests the end-to-end benchmark harness in
 # perfbench/ (its own module, built against this checkout): every metric is

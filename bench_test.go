@@ -1,8 +1,9 @@
 package cmpleak
 
 // The benchmark harness: one benchmark per table/figure of the paper's
-// evaluation plus ablation benches for the design choices called out in
-// DESIGN.md.
+// evaluation, one reduced-scale simulation per technique kind, and
+// ablation benches that vary one design choice at a time (selective
+// arming, strict inclusion, thermal feedback, adaptive decay, decay time).
 //
 // Figure benches share one reduced-scale sweep (built lazily, outside the
 // timed region) whose structure matches the paper's matrix: six benchmarks,
@@ -208,7 +209,9 @@ func BenchmarkRunDecay(b *testing.B) { benchmarkSingleRun(b, Decay(8*1024)) }
 
 func BenchmarkRunSelectiveDecay(b *testing.B) { benchmarkSingleRun(b, SelectiveDecay(8*1024)) }
 
-// --- Ablation benches (design choices called out in DESIGN.md) -----------
+func BenchmarkRunAdaptiveDecay(b *testing.B) { benchmarkSingleRun(b, AdaptiveDecay(8*1024)) }
+
+// --- Ablation benches (one design choice varied per bench) ---------------
 
 // BenchmarkAblationSelectiveRule compares plain decay against selective
 // decay at the same decay time: the arming rule is the only difference.

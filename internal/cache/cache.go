@@ -13,7 +13,7 @@
 // Storage is a single flat backing array indexed by set*assoc+way (sets are
 // a power of two, so the set index is a shift and mask of the address): no
 // per-set slice headers, no pointer chasing on the access path, and the
-// decay techniques can stripe their scans over plain integer indices.
+// decay tick scans the lines by plain integer index.
 package cache
 
 import (

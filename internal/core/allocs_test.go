@@ -36,7 +36,10 @@ func newLoadPathRig(tb testing.TB) (*sim.Engine, *coherence.L1Controller, *Contr
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tech := decay.NewAlwaysOn()
+	tech, err := decay.New(decay.Spec{Kind: decay.KindAlwaysOn})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	l2.AttachL1(l1)
 	l2.AttachTechnique(tech)
 	l1.SetLowerLevel(l2)

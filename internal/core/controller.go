@@ -41,7 +41,7 @@ type Controller struct {
 	mshr *cache.MSHR
 	bus  *coherence.Bus
 	l1   *coherence.L1Controller
-	tech decay.Technique
+	tech *decay.Technique
 
 	// decayedBlocks remembers blocks removed by a decay turn-off so that a
 	// subsequent miss to them can be attributed to the technique; it is a
@@ -144,9 +144,9 @@ type upgradeReq struct {
 func (c *Controller) AttachL1(l1 *coherence.L1Controller) { c.l1 = l1 }
 
 // AttachTechnique wires the leakage technique observing this controller.
-func (c *Controller) AttachTechnique(t decay.Technique) { c.tech = t }
+func (c *Controller) AttachTechnique(t *decay.Technique) { c.tech = t }
 
-// ControllerID implements coherence.Snooper and decay.Controller.
+// ControllerID implements coherence.Snooper.
 func (c *Controller) ControllerID() int { return c.cfg.ID }
 
 // Array implements decay.Controller.
@@ -527,7 +527,4 @@ func (c *Controller) completeTurnOff(set, way int, block mem.Addr) {
 	c.arr.PowerOff(set, way, c.eng.Now())
 	c.TurnOffsCompleted.Inc()
 	c.decayedBlocks.Add(block)
-	if c.tech != nil {
-		c.tech.OnTurnedOff(c, set, way)
-	}
 }

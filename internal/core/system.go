@@ -28,7 +28,7 @@ type System struct {
 	l1s     []*coherence.L1Controller
 	l2s     []*Controller
 	cores   []*cpu.Core
-	tech    decay.Technique
+	tech    *decay.Technique
 	thermal *thermal.Model
 
 	coresDone int
@@ -156,7 +156,7 @@ func (s *System) Bus() *coherence.Bus { return s.bus }
 func (s *System) Memory() *mem.Memory { return s.memory }
 
 // Technique exposes the leakage technique instance.
-func (s *System) Technique() decay.Technique { return s.tech }
+func (s *System) Technique() *decay.Technique { return s.tech }
 
 // allDone reports whether every core finished.
 func (s *System) allDone() bool { return s.coresDone >= len(s.cores) }

@@ -2,37 +2,21 @@ package decay
 
 // Benchmark for one global decay tick over a fully resident 256 KB bank
 // (4096 lines, the per-core share of the paper's 1 MB configuration).
-// Run with -benchmem: 0 allocs/op — the scratch buffer is reused and the
-// stripe continuations ride pooled engine events.
+// Run with -benchmem: 0 allocs/op — the scan walks the flat array in place
+// and the tick rides one recurring engine node.
 
-import (
-	"testing"
-
-	"cmpleak/internal/sim"
-	"cmpleak/internal/stats"
-)
+import "testing"
 
 func BenchmarkDecayTick(b *testing.B) {
-	eng := sim.NewEngine()
-	m := bigMockController(eng)
-	populate(m)
-	m.deferTurnOff = true // keep the array resident: every tick rescans it
-	var cnt stats.Counter
-	sc := newTickScanner(eng, m, false, &cnt)
-	tickFn := sc.tick
-	run := func() {
-		m.turnOffs = m.turnOffs[:0]
-		eng.Schedule(1, tickFn)
-		eng.Run()
-	}
+	tick := startResidentTicks(b)
 	// Warm until every armed line has saturated, so the fixture's request
 	// log reaches its steady-state capacity and stops growing.
 	for i := 0; i < counterLevels+1; i++ {
-		run()
+		tick()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run()
+		tick()
 	}
 }

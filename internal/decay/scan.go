@@ -3,125 +3,115 @@ package decay
 import (
 	"cmpleak/internal/coherence"
 	"cmpleak/internal/sim"
-	"cmpleak/internal/stats"
 )
 
-// stripeLines bounds how many lines one engine event touches during a
-// global decay tick.  Arrays at or below this size scan in a single event
-// (every test-scale cache); the 8 MB sweeps split into ~32 stripes.  A
-// variable only so the equivalence test can force multi-stripe scans on a
-// small array.
-var stripeLines = 4096
+// counterLevels is the saturation value of the per-line hierarchical decay
+// counter.  The paper follows Kaxiras et al.: a small (2-bit) counter per
+// line incremented by a cache-wide global tick, so that a line is turned off
+// after between (levels-1) and levels global ticks without an access.
+const counterLevels = 4
 
-// tickScanner is the shared per-controller global-tick scan used by every
-// decay technique: advance the hierarchical counter of each armed, powered,
-// stable line and request turn-off for the ones that saturate.  It
-// deduplicates the previously copy-pasted loops of FixedDecay,
-// SelectiveDecay and AdaptiveMode and fixes two costs of the old scan:
-//
-//   - the closure-per-line ForEachValid walk becomes a direct indexed loop
-//     over the cache's flat array, and the per-tick toTurnOff slice becomes
-//     a reused scratch buffer (zero allocations per tick in steady state);
-//   - the scan is striped: one engine event touches at most stripeLines
-//     lines, with the continuation front-scheduled at the same cycle
-//     (sim.Engine.ScheduleNextArg), so the full scan still executes
-//     atomically with respect to every other simulation event — bit-for-bit
-//     identical to the old monolithic walk — while a global tick over an
-//     8 MB bank never does O(all lines) work in one event.  The engine's
-//     bucket-drain loop honours the prepend mid-drain (it re-reads the
-//     bucket head after every dispatch), so the atomicity guarantee holds
-//     under Run/RunLimit exactly as it did under per-event stepping;
-//     sim/drain_test.go property-tests that ordering.
-//
-// Striping is sound because a stripe's side effects cannot change what a
-// later stripe observes: counter advances touch only the line itself, and
-// RequestTurnOff mutates only the turned-off line (plus the L1 copy, the
-// bus and memory — none of which the scan predicate reads).
-type tickScanner struct {
-	eng  *sim.Engine
-	ctrl Controller
-	// skipModified implements Selective Decay: lines in Modified never
-	// advance toward turn-off.
-	skipModified bool
-	// turnOffs is the technique's request counter, shared across the
-	// technique's controllers.
-	turnOffs *stats.Counter
-	// done, when set, runs after the last stripe of each tick (AdaptiveMode
-	// hangs its window adaptation here).
-	done func()
+// Adaptive Mode Control parameters.  The interval stays within a factor of
+// adaptiveRange of the configured one; it doubles when a window of
+// adaptiveWindows decay intervals sees more than adaptiveTargetMisses L2
+// misses, and halves when it sees fewer than half of them.
+const (
+	adaptiveRange        = 8
+	adaptiveTargetMisses = 64
+	adaptiveWindows      = 4
+	// adaptiveMinInterval is the shortest adapted interval: one cycle per
+	// tick.
+	adaptiveMinInterval = counterLevels
+)
 
-	numLines int
-	assoc    int
-	cursor   int
-	scratch  []int
-	resumeFn sim.ArgFunc
+// tickPeriod is the period of the cache-wide tick that advances the
+// per-line counters for a decay interval.
+func tickPeriod(interval sim.Cycle) sim.Cycle {
+	return max(interval/counterLevels, 1)
 }
 
-// newTickScanner builds the scan state for one controller.
-func newTickScanner(eng *sim.Engine, ctrl Controller, skipModified bool, turnOffs *stats.Counter) *tickScanner {
-	s := &tickScanner{
-		eng:          eng,
-		ctrl:         ctrl,
-		skipModified: skipModified,
-		turnOffs:     turnOffs,
-		numLines:     ctrl.Array().NumLines(),
-		assoc:        ctrl.Array().Assoc(),
+// startTicks launches the global tick of one controller as one recurring
+// engine event: one pooled node, re-inserted after each tick.  Adaptive
+// Mode retunes its period after each tick, so the next tick already runs at
+// the adapted rate.
+func (t *Technique) startTicks(eng *sim.Engine, ctrl Controller) {
+	skipModified := t.spec.Kind == KindSelectiveDecay
+	interval := t.spec.DecayCycles
+	var w *adaptiveWindow
+	if t.spec.Kind == KindAdaptive {
+		interval = max(interval, adaptiveMinInterval)
+		w = &adaptiveWindow{interval: interval, missesAtWin: ctrl.Array().Misses.Value()}
 	}
-	s.resumeFn = func(any) { s.runStripe() }
-	return s
+	var r *sim.Recurring
+	r = eng.ScheduleRecurring(tickPeriod(interval), func(sim.Cycle) bool {
+		tick(ctrl, skipModified)
+		if w != nil {
+			t.adapt(ctrl, w)
+			r.SetPeriod(tickPeriod(w.interval))
+		}
+		return true
+	})
 }
 
-// tick runs one global tick: the first stripe executes synchronously inside
-// the caller's event; any remaining stripes chain as front-of-queue events
-// at the same cycle.
-func (s *tickScanner) tick() {
-	s.cursor = 0
-	s.runStripe()
-}
-
-// runStripe scans [cursor, cursor+stripeLines): counters of armed lines
-// advance, saturated lines collect into the reused scratch buffer and are
-// then turned off in flat-array (set-major) order, matching the order of
-// the old whole-array walk.
-func (s *tickScanner) runStripe() {
-	arr := s.ctrl.Array()
-	end := s.cursor + stripeLines
-	if end > s.numLines {
-		end = s.numLines
-	}
-	scratch := s.scratch[:0]
-	for idx := s.cursor; idx < end; idx++ {
+// tick runs one global tick over the controller's array: the counter of
+// every armed, powered, stable line advances, and each line that saturates
+// is turned off as the scan reaches it, so turn-offs issue in flat-array
+// (set-major) order.  Turning a line off cannot change what the rest of the
+// scan observes: RequestTurnOff mutates only that line (plus the L1 copy,
+// the bus and memory, none of which the scan reads).  Selective Decay
+// (skipModified) never advances a Modified line, even if it became Modified
+// without the arming hook firing.
+func tick(ctrl Controller, skipModified bool) {
+	arr := ctrl.Array()
+	assoc := arr.Assoc()
+	for idx, n := 0, arr.NumLines(); idx < n; idx++ {
 		ln := arr.LineAt(idx)
 		if !ln.Valid || !ln.Powered || !ln.DecayArmed {
 			continue
 		}
 		// The turn-off signal may only start from a stationary state
 		// (Figure 2); transient lines are reconsidered next tick.
-		st := s.ctrl.LineState(idx/s.assoc, idx%s.assoc)
-		if !st.Stable() {
-			continue
-		}
-		if s.skipModified && st == coherence.Modified {
+		set, way := idx/assoc, idx%assoc
+		st := ctrl.LineState(set, way)
+		if !st.Stable() || skipModified && st == coherence.Modified {
 			continue
 		}
 		if ln.DecayCounter < counterLevels {
 			ln.DecayCounter++
 		}
 		if ln.DecayCounter >= counterLevels {
-			scratch = append(scratch, idx)
+			ctrl.RequestTurnOff(set, way)
 		}
 	}
-	s.scratch = scratch
-	for _, idx := range scratch {
-		s.turnOffs.Inc()
-		s.ctrl.RequestTurnOff(idx/s.assoc, idx%s.assoc)
-	}
-	s.cursor = end
-	if s.cursor < s.numLines {
-		s.eng.ScheduleNextArg(s.resumeFn, nil)
+}
+
+// adaptiveWindow is one controller's Adaptive Mode Control state.
+type adaptiveWindow struct {
+	interval    sim.Cycle
+	ticksInWin  uint64
+	missesAtWin uint64
+}
+
+// adapt applies the Adaptive Mode Control window logic after a tick: if
+// misses in the window exceed the target, decay becomes less aggressive
+// (the interval doubles); if they fall well below it, more aggressive (the
+// interval halves).  The paper itself evaluates only fixed decay intervals;
+// this extension serves the ablation benches of the root bench_test.go.
+func (t *Technique) adapt(ctrl Controller, w *adaptiveWindow) {
+	w.ticksInWin++
+	if w.ticksInWin < adaptiveWindows*counterLevels {
 		return
 	}
-	if s.done != nil {
-		s.done()
+	w.ticksInWin = 0
+	misses := ctrl.Array().Misses.Value()
+	windowMisses := misses - w.missesAtWin
+	w.missesAtWin = misses
+	switch {
+	case windowMisses > adaptiveTargetMisses && w.interval < t.spec.DecayCycles*adaptiveRange:
+		w.interval *= 2
+		t.Adaptations.Inc()
+	case windowMisses < adaptiveTargetMisses/2 && w.interval > t.spec.DecayCycles/adaptiveRange:
+		w.interval = max(w.interval/2, adaptiveMinInterval)
+		t.Adaptations.Inc()
 	}
 }

@@ -1,17 +1,17 @@
 package decay
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"cmpleak/internal/cache"
 	"cmpleak/internal/coherence"
 	"cmpleak/internal/sim"
-	"cmpleak/internal/stats"
 )
 
-// bigMockController is a mockController over an array large enough to need
-// several stripes at the test stripe size.
+// bigMockController is a mockController over a 256 KB array (4096 lines,
+// the per-core share of the paper's 1 MB configuration).
 func bigMockController(eng *sim.Engine) *mockController {
 	cfg := cache.Config{Name: "bigL2", SizeBytes: 256 * 1024, LineBytes: 64, Assoc: 4, LatencyCycles: 6}
 	return &mockController{
@@ -69,73 +69,115 @@ func b2u(b bool) uint8 {
 	return 0
 }
 
-// runTicks drives `ticks` global ticks through a tickScanner at the given
-// stripe size and returns the final line state and turn-off sequence.
-func runTicks(t *testing.T, stripe, ticks int) ([][4]uint8, [][2]int) {
-	t.Helper()
-	old := stripeLines
-	stripeLines = stripe
-	defer func() { stripeLines = old }()
+// referenceTick is the collect-then-turn-off scan the production tick must
+// match: advance every counter first, collecting the saturated lines, then
+// request their turn-offs in flat-array order.
+func referenceTick(ctrl Controller, skipModified bool) {
+	arr := ctrl.Array()
+	assoc := arr.Assoc()
+	var due []int
+	for idx := 0; idx < arr.NumLines(); idx++ {
+		ln := arr.LineAt(idx)
+		if !ln.Valid || !ln.Powered || !ln.DecayArmed {
+			continue
+		}
+		st := ctrl.LineState(idx/assoc, idx%assoc)
+		if !st.Stable() || skipModified && st == coherence.Modified {
+			continue
+		}
+		if ln.DecayCounter < counterLevels {
+			ln.DecayCounter++
+		}
+		if ln.DecayCounter >= counterLevels {
+			due = append(due, idx)
+		}
+	}
+	for _, idx := range due {
+		ctrl.RequestTurnOff(idx/assoc, idx%assoc)
+	}
+}
 
+// fixtureSpec is the technique the scan tests drive: a 400-cycle interval
+// ticks every 100 cycles.
+func fixtureSpec(selective bool) Spec {
+	if selective {
+		return Spec{Kind: KindSelectiveDecay, DecayCycles: 400}
+	}
+	return Spec{Kind: KindDecay, DecayCycles: 400}
+}
+
+// runTicks drives counterLevels+1 global ticks over the populated fixture,
+// through the production technique or, with reference set, through
+// referenceTick on a recurring event of the same period, and returns the
+// final line state and the turn-off sequence.
+func runTicks(t *testing.T, reference, selective, deferTurnOff bool) ([][4]uint8, [][2]int) {
+	t.Helper()
 	eng := sim.NewEngine()
 	m := bigMockController(eng)
 	populate(m)
-	var cnt stats.Counter
-	sc := newTickScanner(eng, m, false, &cnt)
-	for i := 0; i < ticks; i++ {
-		eng.Schedule(sim.Cycle(100*(i+1))-eng.Now(), sc.tick)
-		eng.Run()
+	m.deferTurnOff = deferTurnOff
+	spec := fixtureSpec(selective)
+	period := tickPeriod(spec.DecayCycles)
+	if reference {
+		eng.ScheduleRecurring(period, func(sim.Cycle) bool {
+			referenceTick(m, selective)
+			return true
+		})
+	} else {
+		newTech(t, spec).Start(eng, m)
 	}
-	if int(cnt.Value()) != len(m.turnOffs) {
-		t.Fatalf("turn-off counter %d disagrees with recorded requests %d", cnt.Value(), len(m.turnOffs))
-	}
+	eng.RunUntil(period * (counterLevels + 1))
 	return snapshot(m.arr), m.turnOffs
 }
 
-// The striped scan must be observably identical to a monolithic whole-array
-// scan: same counter advances, same turn-off sequence, same final state.
-// The golden sweep digest only exercises single-stripe arrays, so this is
-// the test that pins multi-stripe equivalence.
-func TestStripedScanMatchesMonolithic(t *testing.T) {
-	n := 256 * 1024 / 64 // 4096 lines
-	wantState, wantOffs := runTicks(t, n, counterLevels+1)
-	for _, stripe := range []int{64, 1000, n - 1} {
-		gotState, gotOffs := runTicks(t, stripe, counterLevels+1)
-		if !reflect.DeepEqual(gotState, wantState) {
-			t.Fatalf("stripe size %d: final line state diverges from monolithic scan", stripe)
+// The single-pass scan, which turns each saturated line off as it reaches
+// it, must be observably identical to the collect-then-turn-off reference:
+// same counter advances, same turn-off sequence, same final state.
+func TestSinglePassScanMatchesReference(t *testing.T) {
+	for _, selective := range []bool{false, true} {
+		for _, deferTurnOff := range []bool{false, true} {
+			t.Run(fmt.Sprintf("selective=%v/defer=%v", selective, deferTurnOff), func(t *testing.T) {
+				wantState, wantOffs := runTicks(t, true, selective, deferTurnOff)
+				gotState, gotOffs := runTicks(t, false, selective, deferTurnOff)
+				if len(wantOffs) == 0 {
+					t.Fatal("scan never requested a turn-off; the fixture is too weak")
+				}
+				if !reflect.DeepEqual(gotState, wantState) {
+					t.Fatal("final line state diverges from the reference scan")
+				}
+				if !reflect.DeepEqual(gotOffs, wantOffs) {
+					t.Fatalf("turn-off sequence diverges (%d vs %d requests)", len(gotOffs), len(wantOffs))
+				}
+			})
 		}
-		if !reflect.DeepEqual(gotOffs, wantOffs) {
-			t.Fatalf("stripe size %d: turn-off sequence diverges (%d vs %d requests)",
-				stripe, len(gotOffs), len(wantOffs))
-		}
-	}
-	if len(wantOffs) == 0 {
-		t.Fatal("scan never requested a turn-off; the fixture is too weak")
 	}
 }
 
-// A steady-state tick must not allocate: the scratch buffer is reused and
-// the stripe continuations ride pooled engine events.
-func TestTickScanAllocationFree(t *testing.T) {
-	old := stripeLines
-	stripeLines = 256
-	defer func() { stripeLines = old }()
-
+// startResidentTicks starts fixed decay over the populated fixture with
+// every turn-off deferred, so each tick rescans a fully resident array, and
+// returns a function that runs exactly one tick.
+func startResidentTicks(tb testing.TB) func() {
+	tb.Helper()
 	eng := sim.NewEngine()
 	m := bigMockController(eng)
 	populate(m)
-	m.deferTurnOff = true // keep lines resident so every tick rescans them
-	var cnt stats.Counter
-	sc := newTickScanner(eng, m, false, &cnt)
-	tickFn := sc.tick // bind once: a per-call method value would allocate
-	tick := func() {
+	m.deferTurnOff = true
+	spec := fixtureSpec(false)
+	newTech(tb, spec).Start(eng, m)
+	period := tickPeriod(spec.DecayCycles)
+	return func() {
 		// Recycle the request log so its append growth (a test artefact,
-		// not scanner behaviour) does not count against the scan.
+		// not scan behaviour) does not count against the tick.
 		m.turnOffs = m.turnOffs[:0]
-		eng.Schedule(1, tickFn)
-		eng.Run()
+		eng.RunUntil(eng.Now() + period)
 	}
-	tick() // warm up: grows the scratch buffer to its steady-state size
+}
+
+// A steady-state tick must not allocate: the scan walks the flat array in
+// place and the tick rides one recurring engine node.
+func TestTickScanAllocationFree(t *testing.T) {
+	tick := startResidentTicks(t)
+	tick() // warm up: grows the request log to its steady-state size
 	tick()
 	if allocs := testing.AllocsPerRun(10, tick); allocs != 0 {
 		t.Fatalf("steady-state decay tick allocates %.1f objects/op, want 0", allocs)

@@ -1,17 +1,19 @@
 // Package decay implements the leakage-saving techniques evaluated in the
-// paper (Section IV), all built on top of the coherence-safe turn-off
-// primitive provided by the L2 controller:
+// paper (Section IV).  All of them are built on top of the coherence-safe
+// turn-off primitive provided by the L2 controller and differ only in when
+// a line is gated, so one Technique type serves every Kind:
 //
-//   - AlwaysOn       — the baseline: every line is powered for the whole run.
-//   - Protocol       — a line is gated whenever the coherence protocol
+//   - KindAlwaysOn       — the baseline: every line is powered for the whole
+//     run.
+//   - KindProtocol       — a line is gated whenever the coherence protocol
 //     invalidates it (and never-filled lines stay off).
-//   - Decay          — fixed-interval cache decay with hierarchical 2-bit
+//   - KindDecay          — fixed-interval cache decay with hierarchical 2-bit
 //     counters; a line not accessed for the decay time is turned off.
-//   - SelectiveDecay — decay armed only on transitions leading to Shared or
-//     Exclusive; lines that become Modified do not decay.
-//   - AdaptiveMode   — a related-work extension (Zhou et al. Adaptive Mode
-//     Control) that adjusts a global decay interval from the observed
-//     decay-induced miss rate; used for ablation studies.
+//   - KindSelectiveDecay — decay armed only on transitions leading to Shared
+//     or Exclusive; lines that become Modified do not decay.
+//   - KindAdaptive       — a related-work extension (Zhou et al. Adaptive
+//     Mode Control) that adjusts a global decay interval from the observed
+//     miss rate; used for ablation studies.
 //
 // A technique observes the L2 controller through hook methods (fill, hit,
 // state change, protocol invalidation) and acts on it through the
@@ -24,13 +26,12 @@ import (
 	"cmpleak/internal/cache"
 	"cmpleak/internal/coherence"
 	"cmpleak/internal/sim"
+	"cmpleak/internal/stats"
 )
 
 // Controller is the view of the leakage-aware L2 controller a technique is
 // given.  It is implemented by internal/core.Controller.
 type Controller interface {
-	// ControllerID identifies the L2 (its core index).
-	ControllerID() int
 	// Array returns the underlying cache array for direct power gating and
 	// counter manipulation.
 	Array() *cache.Cache
@@ -43,39 +44,6 @@ type Controller interface {
 	LineState(set, way int) coherence.State
 	// Now returns the current simulation cycle.
 	Now() sim.Cycle
-}
-
-// Technique is one leakage-management policy applied to every private L2 of
-// the CMP.  Hook methods are invoked by the L2 controllers; Start is called
-// once per controller after the system is wired.
-type Technique interface {
-	// Name returns the configuration name used in figures, e.g. "decay512K".
-	Name() string
-	// Start initialises the technique for one controller (powering lines,
-	// starting decay tickers, ...).
-	Start(eng *sim.Engine, ctrl Controller)
-	// OnFill is invoked when a line is installed with its initial state.
-	OnFill(ctrl Controller, set, way int, st coherence.State)
-	// OnHit is invoked on every access that hits the line.
-	OnHit(ctrl Controller, set, way int, st coherence.State)
-	// OnStateChange is invoked when a line transitions between coherence
-	// states (stationary states only).
-	OnStateChange(ctrl Controller, set, way int, old, new coherence.State)
-	// OnProtocolInvalidate is invoked when the coherence protocol
-	// invalidates the line (remote BusRdX/BusUpgr or replacement).
-	OnProtocolInvalidate(ctrl Controller, set, way int)
-	// OnTurnedOff is invoked when a turn-off requested by the technique has
-	// completed (the line reached Invalid and was gated).
-	OnTurnedOff(ctrl Controller, set, way int)
-	// ExtraAccessLatency is the per-access penalty of the technique's
-	// circuitry (one cycle for decay caches in the paper).
-	ExtraAccessLatency() sim.Cycle
-	// HasDecayCounters reports whether per-line counters exist, which adds
-	// dynamic and leakage overhead in the energy model.
-	HasDecayCounters() bool
-	// AreaOverhead is the fractional cache area added by the technique
-	// (Gated-Vdd costs 5%).
-	AreaOverhead() float64
 }
 
 // Kind enumerates the built-in techniques.
@@ -146,38 +114,111 @@ func cyclesLabel(c sim.Cycle) string {
 	}
 }
 
+// Technique is one leakage-management policy applied to every private L2 of
+// the CMP.  Hook methods are invoked by the L2 controllers; Start is called
+// once per controller after the system is wired.  What each hook does is
+// selected by the spec's Kind.
+type Technique struct {
+	spec Spec
+
+	// Adaptations counts Adaptive Mode interval changes (across all
+	// controllers).
+	Adaptations stats.Counter
+}
+
 // New builds the technique described by the spec.
-func New(s Spec) (Technique, error) {
+func New(s Spec) (*Technique, error) {
 	switch s.Kind {
-	case KindAlwaysOn:
-		return NewAlwaysOn(), nil
-	case KindProtocol:
-		return NewProtocol(), nil
-	case KindDecay:
+	case KindAlwaysOn, KindProtocol:
+	case KindDecay, KindSelectiveDecay, KindAdaptive:
 		if s.DecayCycles == 0 {
 			return nil, fmt.Errorf("decay: DecayCycles must be set for %v", s.Kind)
 		}
-		return NewFixedDecay(s.DecayCycles), nil
-	case KindSelectiveDecay:
-		if s.DecayCycles == 0 {
-			return nil, fmt.Errorf("decay: DecayCycles must be set for %v", s.Kind)
-		}
-		return NewSelectiveDecay(s.DecayCycles), nil
-	case KindAdaptive:
-		if s.DecayCycles == 0 {
-			return nil, fmt.Errorf("decay: DecayCycles must be set for %v", s.Kind)
-		}
-		return NewAdaptiveMode(s.DecayCycles), nil
 	default:
 		return nil, fmt.Errorf("decay: unknown technique kind %d", s.Kind)
 	}
+	return &Technique{spec: s}, nil
 }
 
-// MustNew is New but panics on error; for presets known to be valid.
-func MustNew(s Spec) Technique {
-	t, err := New(s)
-	if err != nil {
-		panic(err)
+// Start initialises the technique for one controller.  The baseline powers
+// the whole array; Protocol leaves it gated (valid-bit gating: lines power
+// on as they are filled); the decay kinds start the controller's global
+// tick.
+func (t *Technique) Start(eng *sim.Engine, ctrl Controller) {
+	switch t.spec.Kind {
+	case KindAlwaysOn:
+		ctrl.Array().PowerOnAll(eng.Now())
+	case KindProtocol:
+	default:
+		t.startTicks(eng, ctrl)
 	}
-	return t
+}
+
+// arm resets a line's counter and sets whether it may decay in state st:
+// always for plain and adaptive decay, only in Shared or Exclusive under
+// Selective Decay, whose whole point is that lines becoming Modified never
+// decay (turning them off forces an upper-level invalidation and a
+// write-back, which directly hurts L1 performance).
+func (t *Technique) arm(ln *cache.Line, st coherence.State) {
+	ln.DecayCounter = 0
+	ln.DecayArmed = t.spec.Kind != KindSelectiveDecay ||
+		st == coherence.Shared || st == coherence.Exclusive
+}
+
+// OnFill is invoked when a line is installed with its initial state.
+func (t *Technique) OnFill(ctrl Controller, set, way int, st coherence.State) {
+	if t.HasDecayCounters() {
+		t.arm(ctrl.Array().Line(set, way), st)
+	}
+}
+
+// OnHit is invoked on every access that hits the line: a hit resets the
+// decay counter (the line proved itself alive).
+func (t *Technique) OnHit(ctrl Controller, set, way int, _ coherence.State) {
+	if t.HasDecayCounters() {
+		ctrl.Array().Line(set, way).DecayCounter = 0
+	}
+}
+
+// OnStateChange is invoked when a line transitions between coherence
+// states (stationary states only); decay re-arms the line for its new
+// state.
+func (t *Technique) OnStateChange(ctrl Controller, set, way int, _, newState coherence.State) {
+	if t.HasDecayCounters() {
+		t.arm(ctrl.Array().Line(set, way), newState)
+	}
+}
+
+// OnProtocolInvalidate is invoked when the coherence protocol invalidates
+// the line (remote BusRdX/BusUpgr or replacement).  Every technique but
+// the baseline gates it: this is the whole Protocol technique, and decay
+// subsumes it.  The controller has already moved the line to Invalid, so
+// gating is safe.
+func (t *Technique) OnProtocolInvalidate(ctrl Controller, set, way int) {
+	if t.spec.Kind != KindAlwaysOn {
+		ctrl.Array().PowerOff(set, way, ctrl.Now())
+	}
+}
+
+// ExtraAccessLatency is the per-access penalty of the technique's
+// circuitry: the paper charges one cycle for decay caches; valid-bit
+// gating adds none.
+func (t *Technique) ExtraAccessLatency() sim.Cycle {
+	if t.HasDecayCounters() {
+		return 1
+	}
+	return 0
+}
+
+// HasDecayCounters reports whether per-line counters exist, which adds
+// dynamic and leakage overhead in the energy model.
+func (t *Technique) HasDecayCounters() bool { return t.spec.Kind >= KindDecay }
+
+// AreaOverhead is the fractional cache area added by the technique:
+// Gated-Vdd costs 5%, and the baseline adds no gating circuitry.
+func (t *Technique) AreaOverhead() float64 {
+	if t.spec.Kind == KindAlwaysOn {
+		return 0
+	}
+	return 0.05
 }

@@ -14,7 +14,6 @@ import (
 // immediately performs the effect a real controller would have for a clean
 // line: invalidate and gate.
 type mockController struct {
-	id     int
 	eng    *sim.Engine
 	arr    *cache.Cache
 	states map[[2]int]coherence.State
@@ -33,7 +32,6 @@ func newMockController(eng *sim.Engine) *mockController {
 	}
 }
 
-func (m *mockController) ControllerID() int   { return m.id }
 func (m *mockController) Array() *cache.Cache { return m.arr }
 func (m *mockController) Now() sim.Cycle      { return m.eng.Now() }
 
@@ -56,7 +54,7 @@ func (m *mockController) RequestTurnOff(set, way int) {
 
 // install places a block in the mock L2 with the given state, driving the
 // technique hooks the way the real controller does.
-func (m *mockController) install(t Technique, a mem.Addr, st coherence.State) (set, way int) {
+func (m *mockController) install(t *Technique, a mem.Addr, st coherence.State) (set, way int) {
 	set, way, hit := m.arr.Lookup(a)
 	if !hit {
 		way = m.arr.Victim(set)
@@ -66,6 +64,16 @@ func (m *mockController) install(t Technique, a mem.Addr, st coherence.State) (s
 	m.states[[2]int{set, way}] = st
 	t.OnFill(m, set, way, st)
 	return set, way
+}
+
+// newTech builds the technique for a spec the test knows to be valid.
+func newTech(tb testing.TB, s Spec) *Technique {
+	tb.Helper()
+	tech, err := New(s)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tech
 }
 
 func TestSpecNames(t *testing.T) {
@@ -105,6 +113,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Spec{Kind: KindSelectiveDecay}); err == nil {
 		t.Fatal("sel_decay without interval should be rejected")
 	}
+	if _, err := New(Spec{Kind: KindAdaptive}); err == nil {
+		t.Fatal("adaptive without interval should be rejected")
+	}
 	if _, err := New(Spec{Kind: Kind(77)}); err == nil {
 		t.Fatal("unknown kind should be rejected")
 	}
@@ -122,19 +133,10 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew did not panic on invalid spec")
-		}
-	}()
-	MustNew(Spec{Kind: KindDecay})
-}
-
 func TestAlwaysOnPowersEverything(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
-	tech := NewAlwaysOn()
+	tech := newTech(t, Spec{Kind: KindAlwaysOn})
 	tech.Start(eng, ctrl)
 	if ctrl.arr.PoweredLines() != ctrl.arr.Config().NumLines() {
 		t.Fatal("baseline did not power the full array")
@@ -148,15 +150,12 @@ func TestAlwaysOnPowersEverything(t *testing.T) {
 	if tech.ExtraAccessLatency() != 0 || tech.HasDecayCounters() || tech.AreaOverhead() != 0 {
 		t.Fatal("baseline overhead should be zero")
 	}
-	if tech.Name() != "baseline" {
-		t.Fatal("baseline name wrong")
-	}
 }
 
 func TestProtocolGatesOnInvalidation(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
-	tech := NewProtocol()
+	tech := newTech(t, Spec{Kind: KindProtocol})
 	tech.Start(eng, ctrl)
 	if ctrl.arr.PoweredLines() != 0 {
 		t.Fatal("protocol technique should start fully gated")
@@ -184,7 +183,7 @@ func TestProtocolGatesOnInvalidation(t *testing.T) {
 func TestFixedDecayTurnsOffIdleLines(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
-	tech := NewFixedDecay(1000)
+	tech := newTech(t, Spec{Kind: KindDecay, DecayCycles: 1000})
 	tech.Start(eng, ctrl)
 	set, way := ctrl.install(tech, 0x3000, coherence.Exclusive)
 	// After the full decay interval with no access the line must be off.
@@ -198,15 +197,12 @@ func TestFixedDecayTurnsOffIdleLines(t *testing.T) {
 	if tech.ExtraAccessLatency() != 1 || !tech.HasDecayCounters() {
 		t.Fatal("decay overheads not reported")
 	}
-	if tech.DecayCycles() != 1000 {
-		t.Fatal("DecayCycles accessor wrong")
-	}
 }
 
 func TestFixedDecayAccessResetsCounter(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
-	tech := NewFixedDecay(1000)
+	tech := newTech(t, Spec{Kind: KindDecay, DecayCycles: 1000})
 	tech.Start(eng, ctrl)
 	set, way := ctrl.install(tech, 0x4000, coherence.Exclusive)
 	// Touch the line every 400 cycles: it must never decay even after many
@@ -226,7 +222,7 @@ func TestFixedDecayAccessResetsCounter(t *testing.T) {
 func TestFixedDecaySkipsTransientLines(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
-	tech := NewFixedDecay(1000)
+	tech := newTech(t, Spec{Kind: KindDecay, DecayCycles: 1000})
 	tech.Start(eng, ctrl)
 	set, way := ctrl.install(tech, 0x5000, coherence.TransientDirty)
 	eng.RunUntil(3000)
@@ -241,9 +237,9 @@ func TestFixedDecaySkipsTransientLines(t *testing.T) {
 func TestSelectiveDecayDoesNotDecayModified(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
-	tech := NewSelectiveDecay(1000)
+	tech := newTech(t, Spec{Kind: KindSelectiveDecay, DecayCycles: 1000})
 	tech.Start(eng, ctrl)
-	_, _ = ctrl.install(tech, 0x6000, coherence.Modified)
+	setM, wayM := ctrl.install(tech, 0x6000, coherence.Modified)
 	setE, wayE := ctrl.install(tech, 0x7000, coherence.Exclusive)
 	eng.RunUntil(3000)
 	// Only the Exclusive line may decay.
@@ -255,15 +251,19 @@ func TestSelectiveDecayDoesNotDecayModified(t *testing.T) {
 	if len(ctrl.turnOffs) == 0 {
 		t.Fatal("exclusive line never decayed")
 	}
-	if tech.DisarmedTransitions.Value() != 0 && tech.ArmedTransitions.Value() == 0 {
-		t.Fatal("arming statistics inconsistent")
+	if ln := ctrl.arr.Line(setM, wayM); ln.DecayArmed || !ln.Powered || ln.DecayCounter != 0 {
+		t.Fatalf("modified line armed=%v powered=%v counter=%d, want disarmed, powered, 0",
+			ln.DecayArmed, ln.Powered, ln.DecayCounter)
+	}
+	if ctrl.arr.Line(setE, wayE).Powered {
+		t.Fatal("decayed exclusive line still powered")
 	}
 }
 
 func TestSelectiveDecayRearmsOnStateChange(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
-	tech := NewSelectiveDecay(1000)
+	tech := newTech(t, Spec{Kind: KindSelectiveDecay, DecayCycles: 1000})
 	tech.Start(eng, ctrl)
 	set, way := ctrl.install(tech, 0x8000, coherence.Modified)
 	if ctrl.arr.Line(set, way).DecayArmed {
@@ -281,9 +281,6 @@ func TestSelectiveDecayRearmsOnStateChange(t *testing.T) {
 	if ctrl.arr.Line(set, way).DecayArmed {
 		t.Fatal("upgrade to Modified did not disarm decay")
 	}
-	if tech.ArmedTransitions.Value() == 0 || tech.DisarmedTransitions.Value() == 0 {
-		t.Fatal("transition counters not updated")
-	}
 }
 
 func TestSelectiveDecayOccupationBetweenProtocolAndDecay(t *testing.T) {
@@ -291,7 +288,7 @@ func TestSelectiveDecayOccupationBetweenProtocolAndDecay(t *testing.T) {
 	// E lines left idle, plain decay turns off more lines than selective
 	// decay, which turns off more than protocol (which turns off none
 	// without invalidations).
-	run := func(tech Technique) int {
+	run := func(tech *Technique) int {
 		eng := sim.NewEngine()
 		ctrl := newMockController(eng)
 		tech.Start(eng, ctrl)
@@ -311,9 +308,9 @@ func TestSelectiveDecayOccupationBetweenProtocolAndDecay(t *testing.T) {
 		})
 		return len(ctrl.turnOffs)
 	}
-	offDecay := run(NewFixedDecay(1000))
-	offSel := run(NewSelectiveDecay(1000))
-	offProto := run(NewProtocol())
+	offDecay := run(newTech(t, Spec{Kind: KindDecay, DecayCycles: 1000}))
+	offSel := run(newTech(t, Spec{Kind: KindSelectiveDecay, DecayCycles: 1000}))
+	offProto := run(newTech(t, Spec{Kind: KindProtocol}))
 	if !(offDecay > offSel && offSel > offProto) {
 		t.Fatalf("turn-off ordering violated: decay=%d sel=%d protocol=%d", offDecay, offSel, offProto)
 	}
@@ -322,11 +319,11 @@ func TestSelectiveDecayOccupationBetweenProtocolAndDecay(t *testing.T) {
 func TestAdaptiveModeDecaysAndAdapts(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
-	tech := NewAdaptiveMode(1000)
+	tech := newTech(t, Spec{Kind: KindAdaptive, DecayCycles: 1000})
 	tech.Start(eng, ctrl)
 	ctrl.install(tech, 0x9000, coherence.Exclusive)
 	eng.RunUntil(3000)
-	if tech.TurnOffRequests.Value() == 0 {
+	if len(ctrl.turnOffs) == 0 {
 		t.Fatal("adaptive mode never requested a turn-off")
 	}
 	// With zero misses in every window the interval should shrink
@@ -335,8 +332,32 @@ func TestAdaptiveModeDecaysAndAdapts(t *testing.T) {
 	if tech.Adaptations.Value() == 0 {
 		t.Fatal("adaptive mode never adapted its interval")
 	}
-	if tech.Name() == "" || !tech.HasDecayCounters() {
+	if !tech.HasDecayCounters() || tech.ExtraAccessLatency() != 1 {
 		t.Fatal("adaptive mode metadata wrong")
+	}
+}
+
+// An adapted interval takes effect from the very next global tick.  A
+// 1000-cycle interval ticks every 250 cycles; the 16th tick (cycle 4000)
+// closes a miss-free window and halves the interval, so ticks then come
+// every 125 cycles and a line filled at 4000 saturates at 4500, not 5000.
+func TestAdaptiveRetunesNextTick(t *testing.T) {
+	eng := sim.NewEngine()
+	ctrl := newMockController(eng)
+	tech := newTech(t, Spec{Kind: KindAdaptive, DecayCycles: 1000})
+	tech.Start(eng, ctrl)
+	eng.RunUntil(4000)
+	if got := tech.Adaptations.Value(); got != 1 {
+		t.Fatalf("adaptations after the first window = %d, want 1", got)
+	}
+	set, way := ctrl.install(tech, 0x9000, coherence.Exclusive)
+	eng.RunUntil(4499)
+	if !ctrl.arr.Line(set, way).Powered {
+		t.Fatal("line turned off before four retuned ticks")
+	}
+	eng.RunUntil(4500)
+	if ctrl.arr.Line(set, way).Powered || len(ctrl.turnOffs) != 1 {
+		t.Fatalf("line not turned off at the fourth retuned tick (requests %v)", ctrl.turnOffs)
 	}
 }
 
@@ -344,7 +365,7 @@ func TestDeferredTurnOffLeavesLineOn(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
 	ctrl.deferTurnOff = true
-	tech := NewFixedDecay(1000)
+	tech := newTech(t, Spec{Kind: KindDecay, DecayCycles: 1000})
 	tech.Start(eng, ctrl)
 	set, way := ctrl.install(tech, 0xa000, coherence.Exclusive)
 	eng.RunUntil(5000)
@@ -360,7 +381,7 @@ func TestDecayCounterNeverExceedsLevels(t *testing.T) {
 	eng := sim.NewEngine()
 	ctrl := newMockController(eng)
 	ctrl.deferTurnOff = true // keep the line alive so ticks keep running
-	tech := NewFixedDecay(400)
+	tech := newTech(t, Spec{Kind: KindDecay, DecayCycles: 400})
 	tech.Start(eng, ctrl)
 	set, way := ctrl.install(tech, 0xb000, coherence.Exclusive)
 	eng.RunUntil(10000)

@@ -6,10 +6,10 @@
 // increase, the residual leakage of gated lines, and the dynamic/leakage
 // cost of the hierarchical decay counters.
 //
-// Absolute Joule values are calibrated (see DESIGN.md §4) so that the L2
-// leakage share of system energy grows with cache size the way the paper's
-// results require (roughly 10% of system energy at 1 MB up to ~45% at 8 MB);
-// within that calibration the model is fully analytical and deterministic.
+// Absolute Joule values are calibrated so that the L2 leakage share of
+// system energy grows with cache size the way the paper's results require
+// (roughly 10% of system energy at 1 MB up to ~45% at 8 MB); within that
+// calibration the model is fully analytical and deterministic.
 package power
 
 import "fmt"

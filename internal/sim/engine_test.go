@@ -142,7 +142,7 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 func TestTickerFiresPeriodically(t *testing.T) {
 	e := NewEngine()
 	var times []Cycle
-	NewTicker(e, 10, func(now Cycle) bool {
+	e.ScheduleRecurring(10, func(now Cycle) bool {
 		times = append(times, now)
 		return len(times) < 5
 	})
@@ -161,7 +161,7 @@ func TestTickerFiresPeriodically(t *testing.T) {
 func TestTickerStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	tk := NewTicker(e, 5, func(Cycle) bool {
+	tk := e.ScheduleRecurring(5, func(Cycle) bool {
 		count++
 		return true
 	})
@@ -184,7 +184,7 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 			t.Fatal("zero-period ticker did not panic")
 		}
 	}()
-	NewTicker(e, 0, func(Cycle) bool { return true })
+	e.ScheduleRecurring(0, func(Cycle) bool { return true })
 }
 
 // Property: events always execute in non-decreasing cycle order regardless of
