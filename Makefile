@@ -48,14 +48,15 @@ test-allocs:
 # test-faults runs the whole fault-tolerance surface under the race
 # detector: fault injection, panic containment, retry/backoff, context
 # cancellation, the pool's shared-workload capture (its failure, cancel and
-# panic paths included), and the SIGKILL crash-resume and SIGINT
-# integration tests of `leaksweep -cache`.  Recovery paths are exercised,
-# never trusted.
+# panic paths included), the SIGKILL crash-resume and SIGINT integration
+# tests of `leaksweep -cache`, and the shard stores and their merge (a
+# missing or doubly held job, a shard SIGKILLed mid-run).  Recovery paths
+# are exercised, never trusted.
 test-faults:
 	$(GO) test -race -count 1 ./internal/faultinject
 	$(GO) test -race -count 1 \
-		-run 'Fault|Panic|Retry|Resume|Context|Backoff|Transient|TraceBenchmark|TraceFile|FailsBeforeSimulating|Share' \
-		./internal/experiment ./internal/trace ./internal/scenario ./cmd/leaksweep
+		-run 'Fault|Panic|Retry|Resume|Context|Backoff|Transient|TraceBenchmark|TraceFile|FailsBeforeSimulating|Share|Shard|Merge' \
+		./internal/experiment ./internal/trace ./internal/scenario ./internal/resultcache ./cmd/leaksweep
 
 # test-service runs the sweep-service surface under the race detector: the
 # result-cache store and its record framing, the HTTP daemon end-to-end (submit, stream, report,
@@ -65,8 +66,9 @@ test-service:
 	$(GO) test -race -count 1 ./internal/resultcache ./internal/service ./cmd/leakserved
 
 # race runs the full suite under the race detector.  The timing model is
-# single-goroutine by design, but trace readers, shard merges and the
-# example/figure drivers do fan out; this keeps them honest.
+# single-goroutine by design, but trace readers, the worker pool (shard
+# stores and their merge included) and the example/figure drivers do fan
+# out; this keeps them honest.
 race:
 	$(GO) test -race ./...
 

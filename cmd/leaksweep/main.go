@@ -10,15 +10,15 @@
 //	leaksweep -benchmarks WATER-NS,FMM -sizes 2,4 -csv
 //	leaksweep -jobs 8              # exactly 8 concurrent simulation workers
 //	leaksweep -scenario scenarios/paper.json        # declarative matrix
-//	leaksweep -shard 0/4 -out shard0.json   # this process runs shard 0 of 4
-//	leaksweep -merge 'shard*.json'          # join the shards into one figure set
+//	leaksweep -shard 0/4 -cache shard-0   # shard 0 of 4, into its own store
+//	leaksweep -merge 'shard-*'            # the same sweep, served from the shard stores
 //
 // Every invocation runs its jobs through an in-process worker pool (one
 // simulation engine per worker): -jobs N sets the worker count, defaulting
 // to the number of CPUs, and a live progress line on stderr tracks
 // completed jobs, rate and ETA.  Results are byte-identical at any -jobs
 // value — the pool collects into deterministic feed order — so figures,
-// -out shard files and merges never depend on the worker count.
+// cached results and merges never depend on the worker count.
 //
 // -scenario runs a declarative experiment matrix instead of the flag-driven
 // sweep: the JSON file names the benchmark, size, technique, core-count and
@@ -26,19 +26,19 @@
 // or more sweeps ("cells").  scenarios/paper.json is the paper's own figure
 // matrix.  A multi-cell scenario fans every cell's jobs through the one
 // shared pool — the workers never idle between cells — and the per-cell
-// reports print in cell order afterwards.  -shard and -out compose with it —
-// each cell is sharded identically, and a multi-cell scenario writes one
-// -out file per cell with the cell name spliced in before the extension —
-// so scenario shards merge byte-identically through -merge, exactly like
-// flag-driven ones.
+// reports print in cell order afterwards.  -shard and -merge compose with
+// it: each cell is sharded identically, and one -merge joins every cell.
 //
 // -shard i/n deterministically partitions the sweep's (benchmark, size)
 // groups by index — each group's baseline and technique runs stay together
 // — so n invocations that differ only in i (across processes or machines)
-// together run exactly the full matrix, each job exactly once.  Each
-// invocation snapshots its results with -out; -merge globs the snapshots,
-// validates they are a disjoint and covering partition of one sweep, and
-// prints the combined report and figures without running anything.
+// together run exactly the full matrix, each job exactly once.  Give each
+// its own -cache directory: a shard slice records under the full sweep's
+// options digest, so the stores together hold the whole sweep.  -merge GLOB,
+// with the same sweep flags or -scenario (and no -shard), opens every store
+// the glob matches, checks that they hold every job exactly once (a missing
+// or doubly held job is an error naming it), and prints the combined report
+// from the stores without simulating anything.
 //
 // Benchmarks may be recorded traces: -benchmarks trace:fmm.trc sweeps a
 // tracegen file through every size and technique like a synthetic name.
@@ -69,7 +69,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -91,8 +90,7 @@ func main() {
 		jobs       = flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulation workers (one engine each)")
 		quiet      = flag.Bool("quiet", false, "suppress the live progress line")
 		shard      = flag.String("shard", "", "run shard i of n sweep jobs, as \"i/n\" (default: all jobs)")
-		out        = flag.String("out", "", "write the run's results as a shard JSON file (one per cell with -scenario)")
-		merge      = flag.String("merge", "", "merge shard JSON files matching this glob instead of running")
+		merge      = flag.String("merge", "", "serve the sweep from the shard -cache directories matching this glob instead of running")
 		cache      = flag.String("cache", "", "reuse and record job results in this persistent content-addressed cache directory")
 		retries    = flag.Int("retries", 0, "extra attempts per job for transient failures (0 = fail on first error)")
 	)
@@ -106,19 +104,9 @@ func main() {
 		if *shard != "" {
 			fatalf("-merge joins completed shards; it cannot be combined with -shard")
 		}
-		if *scenario != "" {
-			fatalf("-merge joins completed shards; it cannot be combined with -scenario")
-		}
 		if *cache != "" {
 			fatalf("-merge runs nothing; it cannot be combined with -cache")
 		}
-		sweep, err := cmpleak.MergeSweepShardGlob(*merge)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		writeOut(*out, sweep)
-		emitReport(sweep, *fig, *csv)
-		return
 	}
 
 	// SIGINT/SIGTERM cancel the pool: in-flight jobs finish, the cache is
@@ -145,6 +133,13 @@ func main() {
 		}
 		rc.store = store
 	}
+	if *merge != "" {
+		stores, err := cmpleak.OpenResultCacheGlob(*merge, cmpleak.ResultCacheOptions{})
+		if err != nil {
+			fatalf("%v", err)
+		}
+		rc.merged = stores
+	}
 
 	if *scenario != "" {
 		for _, name := range []string{"benchmarks", "sizes", "scale", "seed"} {
@@ -152,7 +147,7 @@ func main() {
 				fatalf("-scenario files declare the %s axis; drop -%s", name, name)
 			}
 		}
-		runScenario(ctx, *scenario, shardIndex, shardCount, rc, *out, *fig, *csv)
+		runScenario(ctx, *scenario, shardIndex, shardCount, rc, *fig, *csv)
 		return
 	}
 
@@ -174,9 +169,7 @@ func main() {
 		opts.CacheSizesMB = mbs
 	}
 
-	sweep := runSweep(ctx, opts, "", rc)
-	writeOut(*out, sweep)
-	emitReport(sweep, *fig, *csv)
+	emitReport(runSweep(ctx, opts, "", rc), *fig, *csv)
 }
 
 // runConfig bundles the execution settings shared by the flag-driven and
@@ -189,6 +182,9 @@ type runConfig struct {
 	// (-cache): jobs it holds are served without simulating, and every
 	// completed job is written through to it.
 	store *cmpleak.ResultCache
+	// merged are the shard stores of -merge: together they must hold every
+	// job exactly once, and they serve the whole sweep.
+	merged []*cmpleak.ResultCache
 }
 
 // parallelism builds the pool configuration: workers, live progress, the
@@ -208,6 +204,13 @@ func (rc runConfig) parallelism(prefix string, named []cmpleak.NamedSweepOptions
 			fmt.Fprintf(os.Stderr, "%s: cache write: %v\n", prefix, err)
 		})
 	}
+	if rc.merged != nil {
+		reuse, err := cmpleak.MergeResultCaches(rc.merged, named)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		p.Reuse = reuse
+	}
 	return p
 }
 
@@ -222,6 +225,9 @@ func finishRun(prefix string, err error, rc runConfig) {
 		if cerr := rc.store.Close(); cerr != nil {
 			fmt.Fprintf(os.Stderr, "%s: closing cache: %v\n", prefix, cerr)
 		}
+	}
+	for _, s := range rc.merged {
+		s.Close()
 	}
 	if err == nil {
 		return
@@ -239,7 +245,7 @@ func finishRun(prefix string, err error, rc runConfig) {
 
 // runScenario expands the scenario file and fans every cell out through one
 // shared worker pool, then reports the cells in order.
-func runScenario(ctx context.Context, path string, shardIndex, shardCount int, rc runConfig, out, fig string, csv bool) {
+func runScenario(ctx context.Context, path string, shardIndex, shardCount int, rc runConfig, fig string, csv bool) {
 	sc, err := cmpleak.LoadScenario(path)
 	if err != nil {
 		fatalf("%v", err)
@@ -253,10 +259,14 @@ func runScenario(ctx context.Context, path string, shardIndex, shardCount int, r
 		cells[i].Options.ShardIndex, cells[i].Options.ShardCount = shardIndex, shardCount
 		totalJobs += len(cells[i].Options.Jobs())
 	}
-	if shardCount > 1 {
+	switch {
+	case rc.merged != nil:
+		fmt.Fprintf(os.Stderr, "leaksweep: scenario %s: %d cell(s), %d jobs merged from %d store(s)\n",
+			path, len(cells), totalJobs, len(rc.merged))
+	case shardCount > 1:
 		fmt.Fprintf(os.Stderr, "leaksweep: scenario %s: %d cell(s), %d jobs (shard %d/%d), %d worker(s)\n",
 			path, len(cells), totalJobs, shardIndex, shardCount, effectiveWorkers(rc.workers, totalJobs))
-	} else {
+	default:
 		fmt.Fprintf(os.Stderr, "leaksweep: scenario %s: %d cell(s), %d jobs, %d worker(s)\n",
 			path, len(cells), totalJobs, effectiveWorkers(rc.workers, totalJobs))
 	}
@@ -277,7 +287,6 @@ func runScenario(ctx context.Context, path string, shardIndex, shardCount int, r
 				fmt.Printf("== %s ==\n\n", cell.Name)
 			}
 		}
-		writeOut(cellOutPath(out, cell.Name, len(cells) > 1), sweeps[i])
 		emitReport(sweeps[i], fig, csv)
 	}
 }
@@ -337,18 +346,6 @@ func progressLine(prefix string, quiet bool) func(cmpleak.SweepJobEvent) {
 	}
 }
 
-// cellOutPath derives the -out file of one cell: the path itself for a
-// single-cell scenario, the cell name spliced in before the extension
-// otherwise ("res.json" + "paper/c8-seed1" -> "res.paper-c8-seed1.json").
-func cellOutPath(out, cellName string, multi bool) string {
-	if out == "" || !multi {
-		return out
-	}
-	safe := strings.NewReplacer("/", "-", " ", "_").Replace(cellName)
-	ext := filepath.Ext(out)
-	return strings.TrimSuffix(out, ext) + "." + safe + ext
-}
-
 // runSweep executes one sweep through the worker pool with live progress.
 func runSweep(ctx context.Context, opts cmpleak.SweepOptions, label string, rc runConfig) *cmpleak.Sweep {
 	runs := len(opts.Jobs())
@@ -356,10 +353,14 @@ func runSweep(ctx context.Context, opts cmpleak.SweepOptions, label string, rc r
 	if label != "" {
 		prefix = "leaksweep[" + label + "]"
 	}
-	if opts.ShardCount > 1 {
+	switch {
+	case rc.merged != nil:
+		fmt.Fprintf(os.Stderr, "%s: merging %d jobs from %d store(s) (scale=%.3g)...\n",
+			prefix, runs, len(rc.merged), opts.Scale)
+	case opts.ShardCount > 1:
 		fmt.Fprintf(os.Stderr, "%s: running %d simulations (shard %d/%d, scale=%.3g, %d worker(s))...\n",
 			prefix, runs, opts.ShardIndex, opts.ShardCount, opts.Scale, effectiveWorkers(rc.workers, runs))
-	} else {
+	default:
 		fmt.Fprintf(os.Stderr, "%s: running %d simulations (scale=%.3g, %d worker(s))...\n",
 			prefix, runs, opts.Scale, effectiveWorkers(rc.workers, runs))
 	}
@@ -381,25 +382,6 @@ func flagWasSet(name string) bool {
 		}
 	})
 	return set
-}
-
-// writeOut snapshots the sweep's results as a shard JSON file.
-func writeOut(path string, sweep *cmpleak.Sweep) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	err = cmpleak.WriteSweepShard(f, sweep)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fatalf("writing %s: %v", path, err)
-	}
-	fmt.Fprintf(os.Stderr, "leaksweep: wrote %s\n", path)
 }
 
 // emitReport prints one figure or the full report through the shared

@@ -1,13 +1,16 @@
 package main
 
-// Crash-resume integration tests: a real leaksweep subprocess is killed
-// (SIGKILL — no cleanup of any kind) mid-sweep with -cache, the identical
-// command is rerun, and its stdout must be byte-identical to an
-// uninterrupted run.  The subprocess is this test binary re-executed with
-// LEAKSWEEP_RUN_MAIN=1, so no separate build step is needed.
+// Crash-resume and shard-merge integration tests: a real leaksweep
+// subprocess is killed (SIGKILL — no cleanup of any kind) mid-sweep with
+// -cache, the identical command is rerun, and its stdout must be
+// byte-identical to an uninterrupted run; shards run into their own -cache
+// directories must merge into that same stdout.  The subprocess is this
+// test binary re-executed with LEAKSWEEP_RUN_MAIN=1, so no separate build
+// step is needed.
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -17,6 +20,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"cmpleak"
 )
 
 func TestMain(m *testing.M) {
@@ -227,5 +232,119 @@ func TestSigintGracefulShutdown(t *testing.T) {
 	}
 	if reused, _ := cacheCounts(t, gotErr); reused < 1 {
 		t.Fatalf("rerun after SIGINT reused %d jobs, want >= 1", reused)
+	}
+}
+
+// shardedArgs is sweepArgs over two sizes: two (benchmark, size) groups, so
+// each shard of a 2-way split holds one group.
+func shardedArgs(extra ...string) []string {
+	return sweepArgs(append([]string{"-sizes", "1,2"}, extra...)...)
+}
+
+// shardScenario writes a two-cell scenario (core counts 2 and 4) and
+// returns its path.
+func shardScenario(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "shards.json")
+	err := os.WriteFile(path, []byte(`{
+  "version": 1,
+  "name": "shards",
+  "benchmarks": ["WATER-NS", "mpeg2dec"],
+  "l2_sizes_mb": [1, 2],
+  "techniques": ["protocol", "decay:8K"],
+  "core_counts": [2, 4],
+  "seeds": [7],
+  "scale": 0.005
+}`), 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// mustRun runs leaksweep and fails the test unless it exits 0.
+func mustRun(t *testing.T, args []string) string {
+	t.Helper()
+	out, stderr, code := runMain(t, args)
+	if code != 0 {
+		t.Fatalf("%v exited %d:\n%s", args, code, stderr)
+	}
+	return out
+}
+
+// TestShardMergeByteIdentical runs a sweep unsharded, then as two
+// -shard i/2 -cache dir_i processes joined by -merge 'dir_*': the merged
+// stdout must be byte-identical, for the flag-driven sweep and for a
+// multi-cell scenario merged in one command.
+func TestShardMergeByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	for name, args := range map[string][]string{
+		"flags":    shardedArgs(),
+		"scenario": {"-scenario", shardScenario(t), "-jobs", "2", "-quiet"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			want := mustRun(t, args)
+			root := t.TempDir()
+			for i := 0; i < 2; i++ {
+				dir := filepath.Join(root, fmt.Sprintf("dir_%d", i))
+				mustRun(t, append(args, "-shard", fmt.Sprintf("%d/2", i), "-cache", dir))
+			}
+			got := mustRun(t, append(args, "-merge", filepath.Join(root, "dir_*")))
+			if got != want {
+				t.Fatalf("merged stdout diverged from the unsharded run\n--- want ---\n%s\n--- got ---\n%s", want, got)
+			}
+		})
+	}
+}
+
+var missingJob = regexp.MustCompile(`job \S+/\d+MB/\S+ is in none of the 2 store\(s\)`)
+
+// TestShardKilledMergeFailsUntilRerun SIGKILLs one shard mid-run: the merge
+// must then fail naming a job no store holds, and once the shard's own
+// command is rerun (resuming from its -cache directory) the merge must
+// succeed with the unsharded stdout.
+func TestShardKilledMergeFailsUntilRerun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	want := mustRun(t, shardedArgs())
+	root := t.TempDir()
+	mustRun(t, shardedArgs("-shard", "1/2", "-cache", filepath.Join(root, "dir_1")))
+
+	// -jobs 1 stretches the shard so the kill lands before it finishes.
+	dir0 := filepath.Join(root, "dir_0")
+	shard0 := shardedArgs("-shard", "0/2", "-cache", dir0, "-jobs", "1")
+	cmd := exec.Command(os.Args[0], shard0...)
+	cmd.Env = append(os.Environ(), "LEAKSWEEP_RUN_MAIN=1")
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	waitForCacheRecord(t, dir0)
+	cmd.Process.Kill()
+	cmd.Wait()
+	store, err := cmpleak.OpenResultCache(dir0, cmpleak.ResultCacheOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	landed := store.Stats().Entries
+	store.Close()
+
+	merge := shardedArgs("-merge", filepath.Join(root, "dir_*"))
+	_, stderr, code := runMain(t, merge)
+	switch {
+	case landed == 8:
+		// The shard won the race: every job landed before the kill.
+		t.Log("the killed shard had recorded all 8 jobs")
+	case code == 0:
+		t.Fatalf("merge succeeded with %d of the killed shard's 8 jobs recorded", landed)
+	case !missingJob.MatchString(stderr):
+		t.Fatalf("merge over a killed shard failed without naming a missing job:\n%s", stderr)
+	}
+
+	mustRun(t, shard0)
+	if got := mustRun(t, merge); got != want {
+		t.Fatalf("merge after the rerun diverged from the unsharded run\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }

@@ -197,29 +197,6 @@ func ScenarioNamedOptions(cells []ScenarioCell) []NamedSweepOptions {
 	return scenario.NamedOptions(cells)
 }
 
-// SweepShard is the JSON-serialisable snapshot of one sweep invocation
-// (typically one `leaksweep -shard i/n` process).
-type SweepShard = experiment.ShardFile
-
-// WriteSweepShard snapshots a sweep's results as a shard JSON file.
-func WriteSweepShard(w io.Writer, s *Sweep) error { return experiment.WriteShard(w, s) }
-
-// ReadSweepShard reads one shard JSON file.
-func ReadSweepShard(r io.Reader) (SweepShard, error) { return experiment.ReadShard(r) }
-
-// MergeSweepShards validates that the shards form a disjoint, covering
-// partition of one sweep and joins them into the combined result set.
-func MergeSweepShards(shards ...SweepShard) (*Sweep, error) {
-	return experiment.MergeShards(shards...)
-}
-
-// MergeSweepShardGlob loads every shard file matching the glob and merges
-// them; a glob matching no files is an explicit error, never an empty
-// report.
-func MergeSweepShardGlob(glob string) (*Sweep, error) {
-	return experiment.MergeShardGlob(glob)
-}
-
 // WriteSweepReport renders a sweep's report — one figure (fig = "3a".."6b")
 // or, with fig == "", the per-size headlines plus every figure in paper
 // order — as markdown tables (or CSV with csv set).  It is the single
@@ -258,6 +235,20 @@ type ResultCacheStats = resultcache.Stats
 // store in dir.
 func OpenResultCache(dir string, opt ResultCacheOptions) (*ResultCache, error) {
 	return resultcache.Open(dir, opt)
+}
+
+// OpenResultCacheGlob opens every existing store whose directory matches
+// glob (typically the -cache directories of `leaksweep -shard i/n` runs);
+// a glob matching nothing, or a match that is not a store, is an error.
+func OpenResultCacheGlob(glob string, opt ResultCacheOptions) ([]*ResultCache, error) {
+	return resultcache.OpenGlob(glob, opt)
+}
+
+// MergeResultCaches checks that the stores hold every job of the batch
+// cells exactly once and returns their union as a SweepParallelism.Reuse,
+// so a pool wired with it simulates nothing.
+func MergeResultCaches(stores []*ResultCache, cells []NamedSweepOptions) (func(cell string, key SweepKey) (Result, bool), error) {
+	return resultcache.Merge(stores, cells)
 }
 
 // ParseTechnique parses a textual technique specification ("baseline",

@@ -18,7 +18,7 @@ func benchConfig(sizeBytes uint64) Config {
 }
 
 func BenchmarkLookupHit(b *testing.B) {
-	c := MustNew(benchConfig(1 << 20))
+	c := mustNew(benchConfig(1 << 20))
 	addrs := make([]mem.Addr, 64)
 	for i := range addrs {
 		a := mem.Addr(i * 64)
@@ -39,7 +39,7 @@ func BenchmarkLookupHit(b *testing.B) {
 }
 
 func BenchmarkVictim(b *testing.B) {
-	c := MustNew(benchConfig(1 << 20))
+	c := mustNew(benchConfig(1 << 20))
 	sets := c.Config().NumSets()
 	// Fill everything so Victim exercises the full-set LRU extraction.
 	for i := 0; i < c.Config().NumLines(); i++ {
@@ -63,7 +63,7 @@ func BenchmarkVictimAssoc(b *testing.B) {
 		b.Run(fmt.Sprintf("assoc%d", assoc), func(b *testing.B) {
 			cfg := benchConfig(1 << 20)
 			cfg.Assoc = assoc
-			c := MustNew(cfg)
+			c := mustNew(cfg)
 			sets := c.Config().NumSets()
 			for i := 0; i < c.Config().NumLines(); i++ {
 				a := mem.Addr(i * 64)
@@ -82,7 +82,7 @@ func BenchmarkVictimAssoc(b *testing.B) {
 // TestVictimTouchAllocationFree guards the replacement hot path (`make
 // test-allocs`): victim selection and MRU promotion must not allocate.
 func TestVictimTouchAllocationFree(t *testing.T) {
-	c := MustNew(benchConfig(1 << 16))
+	c := mustNew(benchConfig(1 << 16))
 	for i := 0; i < c.Config().NumLines(); i++ {
 		a := mem.Addr(i * 64)
 		set, _, _ := c.Lookup(a)
@@ -111,7 +111,7 @@ func BenchmarkOnCycles(b *testing.B) {
 			label = fmt.Sprintf("%dMB", mb)
 		}
 		b.Run(label, func(b *testing.B) {
-			c := MustNew(benchConfig(size))
+			c := mustNew(benchConfig(size))
 			c.PowerOnAll(0)
 			// A few transitions so the aggregate has real state.
 			c.PowerOff(0, 0, 100)

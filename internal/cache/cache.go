@@ -198,16 +198,6 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// MustNew is New but panics on configuration errors; used by tests and
-// presets that are known valid.
-func MustNew(cfg Config) *Cache {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
@@ -445,24 +435,4 @@ func (c *Cache) ForEachLine(fn func(set, way int, ln *Line)) {
 			idx++
 		}
 	}
-}
-
-// ForEachValid invokes fn for every valid line.
-func (c *Cache) ForEachValid(fn func(set, way int, ln *Line)) {
-	c.ForEachLine(func(set, way int, ln *Line) {
-		if ln.Valid {
-			fn(set, way, ln)
-		}
-	})
-}
-
-// CountValid returns how many lines are valid.
-func (c *Cache) CountValid() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].Valid {
-			n++
-		}
-	}
-	return n
 }

@@ -62,27 +62,41 @@ func TestConfigDerived(t *testing.T) {
 	}
 }
 
+// mustNew is New for configurations the tests know are valid.
+func mustNew(cfg Config) *Cache {
+	c, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// countValid returns how many lines of c are valid.
+func countValid(c *Cache) int {
+	n := 0
+	c.ForEachLine(func(_, _ int, ln *Line) {
+		if ln.Valid {
+			n++
+		}
+	})
+	return n
+}
+
 func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted an empty config")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew did not panic on bad config")
-		}
-	}()
-	MustNew(Config{})
 }
 
 func TestLookupMissOnEmpty(t *testing.T) {
-	c := MustNew(smallConfig())
+	c := mustNew(smallConfig())
 	if _, _, found := c.Lookup(0x1000); found {
 		t.Fatal("lookup in empty cache found a line")
 	}
 }
 
 func TestInstallAndLookup(t *testing.T) {
-	c := MustNew(smallConfig())
+	c := mustNew(smallConfig())
 	addr := mem.Addr(0x12345)
 	set, way, found := c.Lookup(addr)
 	if found {
@@ -109,7 +123,7 @@ func TestInstallAndLookup(t *testing.T) {
 }
 
 func TestVictimPrefersInvalid(t *testing.T) {
-	c := MustNew(smallConfig())
+	c := mustNew(smallConfig())
 	addr := mem.Addr(0)
 	set := c.SetIndex(addr)
 	// Fill three of four ways.
@@ -128,7 +142,7 @@ func TestVictimPrefersInvalid(t *testing.T) {
 }
 
 func TestVictimLRU(t *testing.T) {
-	c := MustNew(smallConfig())
+	c := mustNew(smallConfig())
 	base := mem.Addr(0)
 	set := c.SetIndex(base)
 	addrs := make([]mem.Addr, 4)
@@ -146,7 +160,7 @@ func TestVictimLRU(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	c := MustNew(smallConfig())
+	c := mustNew(smallConfig())
 	a := mem.Addr(0x40)
 	set, _, _ := c.Lookup(a)
 	way := c.Victim(set)
@@ -163,7 +177,7 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestPowerAccounting(t *testing.T) {
-	c := MustNew(smallConfig())
+	c := mustNew(smallConfig())
 	c.PowerOn(0, 0, 100)
 	c.PowerOn(0, 1, 100)
 	if c.PoweredLines() != 2 {
@@ -186,7 +200,7 @@ func TestPowerAccounting(t *testing.T) {
 }
 
 func TestPowerOnAllAndOccupation(t *testing.T) {
-	c := MustNew(smallConfig())
+	c := mustNew(smallConfig())
 	c.PowerOnAll(0)
 	if c.PoweredLines() != c.Config().NumLines() {
 		t.Fatal("PowerOnAll did not power every line")
@@ -197,7 +211,7 @@ func TestPowerOnAllAndOccupation(t *testing.T) {
 }
 
 func TestOccupationRateHalf(t *testing.T) {
-	c := MustNew(smallConfig())
+	c := mustNew(smallConfig())
 	n := c.Config().NumLines()
 	// Power half the lines for the whole window.
 	i := 0
@@ -214,15 +228,15 @@ func TestOccupationRateHalf(t *testing.T) {
 }
 
 func TestOccupationRateZeroElapsed(t *testing.T) {
-	c := MustNew(smallConfig())
+	c := mustNew(smallConfig())
 	if c.OccupationRate(0) != 0 {
 		t.Fatal("occupation over zero cycles should be 0")
 	}
 }
 
 func TestForEachValidAndCount(t *testing.T) {
-	c := MustNew(smallConfig())
-	if c.CountValid() != 0 {
+	c := mustNew(smallConfig())
+	if countValid(c) != 0 {
 		t.Fatal("empty cache reports valid lines")
 	}
 	for i := 0; i < 10; i++ {
@@ -230,13 +244,13 @@ func TestForEachValidAndCount(t *testing.T) {
 		set, _, _ := c.Lookup(a)
 		c.Install(a, set, c.Victim(set))
 	}
-	if c.CountValid() != 10 {
-		t.Fatalf("CountValid %d, want 10", c.CountValid())
+	if n := countValid(c); n != 10 {
+		t.Fatalf("%d valid lines, want 10", n)
 	}
 }
 
 func TestSetIndexStableWithinBlock(t *testing.T) {
-	c := MustNew(smallConfig())
+	c := mustNew(smallConfig())
 	for off := mem.Addr(0); off < 64; off++ {
 		if c.SetIndex(0x1000+off) != c.SetIndex(0x1000) {
 			t.Fatal("addresses within a block map to different sets")
@@ -286,7 +300,7 @@ func TestPropertyPackedRankMatchesStampLRU(t *testing.T) {
 		assoc := assoc
 		t.Run(fmt.Sprintf("assoc%d", assoc), func(t *testing.T) {
 			const sets = 4
-			c := MustNew(Config{
+			c := mustNew(Config{
 				Name: "lru-prop", SizeBytes: uint64(sets * assoc * 64),
 				LineBytes: 64, Assoc: assoc, LatencyCycles: 1,
 			})
@@ -344,7 +358,7 @@ func TestPropertyPackedRankMatchesStampLRU(t *testing.T) {
 // tag is block-aligned and maps back to the set it occupies.
 func TestPropertyTagsConsistent(t *testing.T) {
 	f := func(raw []uint32) bool {
-		c := MustNew(smallConfig())
+		c := mustNew(smallConfig())
 		for _, r := range raw {
 			a := mem.Addr(r)
 			set, way, found := c.Lookup(a)
@@ -359,8 +373,11 @@ func TestPropertyTagsConsistent(t *testing.T) {
 			c.Install(a, set, way)
 		}
 		ok := true
-		c.ForEachValid(func(set, way int, ln *Line) {
-			if mem.BlockOffset(ln.Tag, c.Config().LineBytes) != 0 {
+		c.ForEachLine(func(set, way int, ln *Line) {
+			if !ln.Valid {
+				return
+			}
+			if mem.BlockAddr(ln.Tag, c.Config().LineBytes) != ln.Tag {
 				ok = false
 			}
 			if c.SetIndex(ln.Tag) != set {
@@ -378,7 +395,7 @@ func TestPropertyTagsConsistent(t *testing.T) {
 // number of lines, for any interleaving of PowerOn/PowerOff.
 func TestPropertyPowerBounds(t *testing.T) {
 	f := func(ops []uint16) bool {
-		c := MustNew(smallConfig())
+		c := mustNew(smallConfig())
 		lines := c.Config().NumLines()
 		now := sim.Cycle(0)
 		for _, op := range ops {

@@ -184,8 +184,5 @@ func (m *MSHR) ScheduleDone(eng *sim.Engine, latency sim.Cycle, fn DoneFunc, arg
 	eng.ScheduleArg(latency, m.deliverFn, w)
 }
 
-// Outstanding returns the number of in-flight misses.
-func (m *MSHR) Outstanding() int { return m.entries.len() }
-
 // Peak returns the highest simultaneous occupancy observed.
 func (m *MSHR) Peak() int { return m.peak }

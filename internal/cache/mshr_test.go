@@ -56,8 +56,8 @@ func TestMSHRUnlimitedCapacity(t *testing.T) {
 			t.Fatal("unlimited MSHR rejected an allocation")
 		}
 	}
-	if m.Outstanding() != 1000 {
-		t.Fatalf("outstanding %d, want 1000", m.Outstanding())
+	if m.entries.len() != 1000 {
+		t.Fatalf("outstanding %d, want 1000", m.entries.len())
 	}
 }
 
@@ -188,7 +188,7 @@ func TestPropertyMSHRCapacityBound(t *testing.T) {
 			if b%3 == 0 {
 				m.CompleteDeliver(mem.Addr(b)*64, eng, 0)
 			}
-			if m.Outstanding() > 4 {
+			if m.entries.len() > 4 {
 				return false
 			}
 		}

@@ -76,7 +76,3 @@ func (s State) Dirty() bool {
 
 // Valid reports whether the state holds usable data (anything but Invalid).
 func (s State) Valid() bool { return s != Invalid }
-
-// CanSupply reports whether a cache in this state must supply data on a
-// snoop (owner responsibilities in MESI: only Modified flushes).
-func (s State) CanSupply() bool { return s == Modified }

@@ -59,17 +59,6 @@ func TestStateValid(t *testing.T) {
 	}
 }
 
-func TestStateCanSupply(t *testing.T) {
-	if !Modified.CanSupply() {
-		t.Error("Modified must supply data on snoop")
-	}
-	for _, s := range []State{Invalid, Shared, Exclusive} {
-		if s.CanSupply() {
-			t.Errorf("%v should not supply data", s)
-		}
-	}
-}
-
 func TestTransactionKindString(t *testing.T) {
 	cases := map[TransactionKind]string{
 		BusRd:     "BusRd",

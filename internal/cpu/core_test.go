@@ -38,8 +38,20 @@ func (f *fakeL1) Write(a mem.Addr, done func()) {
 	f.eng.Schedule(1, done)
 }
 
+// entryStream replays a fixed slice of entries.
+type entryStream struct{ entries []workload.Entry }
+
+func (s *entryStream) Next() (workload.Entry, bool) {
+	if len(s.entries) == 0 {
+		return workload.Entry{}, false
+	}
+	e := s.entries[0]
+	s.entries = s.entries[1:]
+	return e, true
+}
+
 func entriesOf(ops ...workload.Entry) workload.Stream {
-	return workload.NewSliceStream(ops)
+	return &entryStream{entries: ops}
 }
 
 func TestCoreConfigValidation(t *testing.T) {

@@ -16,7 +16,7 @@ func bigMockController(eng *sim.Engine) *mockController {
 	cfg := cache.Config{Name: "bigL2", SizeBytes: 256 * 1024, LineBytes: 64, Assoc: 4, LatencyCycles: 6}
 	return &mockController{
 		eng:    eng,
-		arr:    cache.MustNew(cfg),
+		arr:    mustArray(cfg),
 		states: make(map[[2]int]coherence.State),
 	}
 }

@@ -23,11 +23,20 @@ type mockController struct {
 	deferTurnOff bool
 }
 
+// mustArray builds a cache array the tests know is valid.
+func mustArray(cfg cache.Config) *cache.Cache {
+	arr, err := cache.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return arr
+}
+
 func newMockController(eng *sim.Engine) *mockController {
 	cfg := cache.Config{Name: "mockL2", SizeBytes: 16 * 1024, LineBytes: 64, Assoc: 4, LatencyCycles: 6}
 	return &mockController{
 		eng:    eng,
-		arr:    cache.MustNew(cfg),
+		arr:    mustArray(cfg),
 		states: make(map[[2]int]coherence.State),
 	}
 }

@@ -105,9 +105,14 @@ func (s *Sweep) Digest() string {
 }
 
 // Digest returns a hex SHA-256 identifying everything that determines this
-// Options' results: the full base system, the axes, scale, seed and shard
-// slice.  Two Options digest equal iff a job key means the same simulation
-// under both — the property the content-addressed result cache keys on.
+// Options' results: the full base system, the axes, scale and seed.  Two
+// Options digest equal iff a job key means the same simulation under both —
+// the property the content-addressed result cache keys on.  The shard slice
+// is not part of it: a slice selects which jobs run, not what a job
+// simulates, so every shard of a sweep records under the full sweep's
+// digest and the shards' stores merge by key.  The slice fields stay in the
+// encoding at zero, so the digest keeps the bytes every existing store is
+// keyed under.
 func (o Options) Digest() string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)
@@ -122,7 +127,7 @@ func (o Options) Digest() string {
 		Seed         uint64
 		ShardIndex   int
 		ShardCount   int
-	}{o.Base, o.Benchmarks, o.CacheSizesMB, o.Techniques, o.Scale, o.Seed, o.ShardIndex, o.ShardCount})
+	}{o.Base, o.Benchmarks, o.CacheSizesMB, o.Techniques, o.Scale, o.Seed, 0, 0})
 	if err != nil {
 		// config.System is a plain data struct; encoding it cannot fail
 		// short of a programming error, which should not be silent.

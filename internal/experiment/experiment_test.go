@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -231,6 +232,16 @@ func TestProtocolEnergySavingGrowsWithCacheSize(t *testing.T) {
 	}
 }
 
+// report renders the full markdown report of s, as leaksweep prints it.
+func report(t *testing.T, s *Sweep) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteReport(&buf, s, "", false); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
 func TestHeadlineAndReport(t *testing.T) {
 	s := getTinySweep(t)
 	h := s.HeadlineAt(1)
@@ -244,23 +255,9 @@ func TestHeadlineAndReport(t *testing.T) {
 	if h.String() == "" {
 		t.Fatal("empty headline rendering")
 	}
-	rep := s.Report()
+	rep := report(t, s)
 	if !strings.Contains(rep, "Figure 5a") || !strings.Contains(rep, "Figure 6b") {
 		t.Fatal("report missing figures")
-	}
-}
-
-func TestIPCLossByClass(t *testing.T) {
-	s := getTinySweep(t)
-	cs := s.IPCLossByClass(1, "decay8K")
-	if cs.Technique != "decay8K" || cs.SizeMB != 1 {
-		t.Fatal("class summary metadata wrong")
-	}
-	// Both classes are present in the tiny sweep (WATER-NS scientific,
-	// mpeg2dec multimedia), so both averages must be populated (possibly
-	// small but computed).
-	if cs.Scientific == 0 && cs.Multimedia == 0 {
-		t.Fatal("class summary did not aggregate anything")
 	}
 }
 

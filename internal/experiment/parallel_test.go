@@ -42,7 +42,7 @@ func TestRunParallelByteIdenticalToSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantDigest := serial.Digest()
-	wantReport := serial.Report()
+	wantReport := report(t, serial)
 	if wantReport == "" {
 		t.Fatal("serial reference rendered an empty report")
 	}
@@ -55,7 +55,7 @@ func TestRunParallelByteIdenticalToSerial(t *testing.T) {
 			if got := sweep.Digest(); got != wantDigest {
 				t.Errorf("digest diverged from serial run:\n  got:  %s\n  want: %s", got, wantDigest)
 			}
-			if got := sweep.Report(); got != wantReport {
+			if got := report(t, sweep); got != wantReport {
 				t.Errorf("rendered report diverged from serial run (%d vs %d bytes)", len(got), len(wantReport))
 			}
 		})

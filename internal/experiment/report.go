@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 	"strings"
-
-	"cmpleak/internal/workload"
 )
 
 // Headline summarises the abstract's claim for one cache size: the energy
@@ -60,61 +58,6 @@ func (h Headline) String() string {
 	for i, tech := range h.Techniques {
 		fmt.Fprintf(&b, "  %-14s energy reduction %5.1f%%  at IPC loss %5.1f%%\n",
 			tech, h.EnergyReductions[i]*100, h.IPCLosses[i]*100)
-	}
-	return b.String()
-}
-
-// ClassSummary aggregates a metric separately over scientific and multimedia
-// benchmarks, supporting the paper's observation that decay hurts scientific
-// codes more than multimedia ones.
-type ClassSummary struct {
-	Technique  string
-	SizeMB     int
-	Scientific float64
-	Multimedia float64
-}
-
-// IPCLossByClass returns per-class average IPC loss for one technique and
-// size.
-func (s *Sweep) IPCLossByClass(sizeMB int, technique string) ClassSummary {
-	out := ClassSummary{Technique: technique, SizeMB: sizeMB}
-	var sciSum, mmSum float64
-	var sciN, mmN int
-	for _, bench := range s.Options.Benchmarks {
-		cmp, ok := s.Compare(bench, sizeMB, technique)
-		if !ok {
-			continue
-		}
-		switch workload.ClassOf(bench) {
-		case workload.Scientific:
-			sciSum += cmp.IPCLoss
-			sciN++
-		case workload.Multimedia:
-			mmSum += cmp.IPCLoss
-			mmN++
-		}
-	}
-	if sciN > 0 {
-		out.Scientific = sciSum / float64(sciN)
-	}
-	if mmN > 0 {
-		out.Multimedia = mmSum / float64(mmN)
-	}
-	return out
-}
-
-// Report renders the whole evaluation (all figures plus the headline) as
-// markdown, ready to be pasted into EXPERIMENTS.md.
-func (s *Sweep) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# Reproduction sweep (scale=%.3g, seed=%d)\n\n", s.Options.Scale, s.Options.Seed)
-	for _, mb := range s.Options.CacheSizesMB {
-		b.WriteString(s.HeadlineAt(mb).String())
-		b.WriteString("\n")
-	}
-	for _, fig := range s.AllFigures() {
-		b.WriteString(fig.Markdown())
-		b.WriteString("\n")
 	}
 	return b.String()
 }

@@ -70,11 +70,23 @@ func init() {
 			for i, s := range out {
 				head := workload.Drain(s)
 				head = append([]workload.Entry{{ComputeInstrs: -7}}, head...)
-				out[i] = workload.NewSliceStream(head)
+				out[i] = &entryStream{entries: head}
 			}
 			return out
 		}}
 	})
+}
+
+// entryStream replays a fixed slice of entries.
+type entryStream struct{ entries []workload.Entry }
+
+func (s *entryStream) Next() (workload.Entry, bool) {
+	if len(s.entries) == 0 {
+		return workload.Entry{}, false
+	}
+	e := s.entries[0]
+	s.entries = s.entries[1:]
+	return e, true
 }
 
 // testGen overrides Streams of a wrapped generator.

@@ -43,8 +43,10 @@ type Options struct {
 	// is deterministic, disjoint and covering, so n invocations that
 	// differ only in ShardIndex together produce exactly the full sweep.
 	// ShardCount 0 (or 1) disables sharding.  A sharded sweep's figures
-	// contain only the shard's own groups; merging is the caller's
-	// concern.
+	// contain only the shard's own groups.  The slice is not part of
+	// Digest, so a shard's results land in a result store under the full
+	// sweep's digest, and resultcache.Merge serves the full sweep from the
+	// stores of all n shards.
 	ShardIndex int
 	ShardCount int
 }

@@ -13,11 +13,6 @@ func BlockAddr(a Addr, blockSize uint64) Addr {
 	return a &^ Addr(blockSize-1)
 }
 
-// BlockOffset returns the offset of a within its block.
-func BlockOffset(a Addr, blockSize uint64) uint64 {
-	return uint64(a) & (blockSize - 1)
-}
-
 // IsPowerOfTwo reports whether v is a non-zero power of two.
 func IsPowerOfTwo(v uint64) bool {
 	return v != 0 && v&(v-1) == 0

@@ -27,15 +27,6 @@ func TestBlockAddr(t *testing.T) {
 	}
 }
 
-func TestBlockOffset(t *testing.T) {
-	if BlockOffset(0x47, 64) != 7 {
-		t.Fatalf("BlockOffset(0x47,64) = %d, want 7", BlockOffset(0x47, 64))
-	}
-	if BlockOffset(0x40, 64) != 0 {
-		t.Fatal("offset of aligned address should be 0")
-	}
-}
-
 func TestIsPowerOfTwo(t *testing.T) {
 	for _, v := range []uint64{1, 2, 4, 64, 1024, 1 << 40} {
 		if !IsPowerOfTwo(v) {

@@ -35,12 +35,6 @@ func L2LeakagePerLineWatt(p Params, cfg cache.Config) float64 {
 	return perByte * float64(cfg.LineBytes)
 }
 
-// L2LeakageWatt returns the leakage power of a whole always-on L2 bank at
-// the reference temperature.
-func L2LeakageWatt(p Params, cfg cache.Config) float64 {
-	return L2LeakagePerLineWatt(p, cfg) * float64(cfg.NumLines())
-}
-
 // L1AccessEnergy returns the dynamic energy of one L1 access (geometry held
 // constant in this study, so the parameter is returned directly).
 func L1AccessEnergy(p Params, _ cache.Config) float64 {

@@ -58,16 +58,6 @@ func (b Breakdown) Total() float64 {
 		b.L2Dynamic + b.L2Leakage + b.Bus + b.DecayOverhead
 }
 
-// L2LeakageShare returns the fraction of total energy spent on L2 leakage —
-// the quantity that bounds how much any leakage technique can save.
-func (b Breakdown) L2LeakageShare() float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return b.L2Leakage / t
-}
-
 // Add returns the component-wise sum of two breakdowns.
 func (b Breakdown) Add(o Breakdown) Breakdown {
 	return Breakdown{

@@ -94,8 +94,11 @@ func TestL2AccessEnergyScalesWithSize(t *testing.T) {
 
 func TestL2LeakageScalesLinearlyWithSize(t *testing.T) {
 	p := DefaultParams()
-	oneMB := L2LeakageWatt(p, l2cfg(1024*1024))
-	twoMB := L2LeakageWatt(p, l2cfg(2*1024*1024))
+	bank := func(size uint64) float64 {
+		cfg := l2cfg(size)
+		return L2LeakagePerLineWatt(p, cfg) * float64(cfg.NumLines())
+	}
+	oneMB, twoMB := bank(1024*1024), bank(2*1024*1024)
 	if math.Abs(twoMB/oneMB-2) > 0.01 {
 		t.Fatalf("leakage should double with capacity: %v vs %v", oneMB, twoMB)
 	}
@@ -175,12 +178,12 @@ func TestBreakdownTotalAndShare(t *testing.T) {
 	if b.Total() != 40 {
 		t.Fatalf("total %v, want 40", b.Total())
 	}
-	if b.L2LeakageShare() != 0.25 {
-		t.Fatalf("L2 share %v, want 0.25", b.L2LeakageShare())
+	if share := b.L2Leakage / b.Total(); share != 0.25 {
+		t.Fatalf("L2 share %v, want 0.25", share)
 	}
 	var zero Breakdown
-	if zero.L2LeakageShare() != 0 {
-		t.Fatal("share of empty breakdown should be 0")
+	if zero.Total() != 0 {
+		t.Fatal("total of empty breakdown should be 0")
 	}
 }
 

@@ -9,9 +9,9 @@
 //	(Options.Digest(), job Key)
 //
 // — the options digest covers everything that determines the result (full
-// base system, axes, scale, seed, shard slice), so two runs that would
-// simulate the same job bit-identically share one record, whatever scenario
-// file, cell name or client produced it.  Each record is additionally
+// base system, axes, scale, seed), so two runs that would simulate the same
+// job bit-identically share one record, whatever scenario file, cell name,
+// shard slice or client produced it.  Each record is additionally
 // stamped with the code/golden anchor (experiment.GoldenAnchor) it was
 // simulated under; a store opened under a different anchor never serves it,
 // so a model change that legitimately alters results — which re-records the

@@ -113,28 +113,15 @@ func TestMixedScenarioDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestMixedScenarioShardsMergeByteIdentically extends the shard-merge
-// guarantee to mix cells: splitting a mixed-workload cell across shards and
-// merging reproduces the unsharded sweep bit for bit.
+// guarantee to mix cells: splitting a mixed-workload cell across shard
+// stores and merging them reproduces the unsharded sweep bit for bit.
 func TestMixedScenarioShardsMergeByteIdentically(t *testing.T) {
 	cells := loadShipped(t, "mixed.json")
 	whole, err := experiment.Run(cells[0].Options)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shards []experiment.ShardFile
-	for i := 0; i < 2; i++ {
-		opts := cells[0].Options
-		opts.ShardIndex, opts.ShardCount = i, 2
-		part, err := experiment.Run(opts)
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		shards = append(shards, part.Snapshot())
-	}
-	merged, err := experiment.MergeShards(shards...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged := mergeShardStores(t, cells[:1], 2)[0]
 	if got, want := merged.Digest(), whole.Digest(); got != want {
 		t.Fatalf("merged digest %s != unsharded %s", got, want)
 	}

@@ -5,6 +5,7 @@ package scenario
 // cell's Options produces — the scenario layer adds routing, never results.
 
 import (
+	"bytes"
 	"testing"
 
 	"cmpleak/internal/config"
@@ -58,7 +59,7 @@ func TestRunCellsMatchesSerialPerCell(t *testing.T) {
 			t.Errorf("%s: pooled cell digest diverged from serial run:\n  got:  %s\n  want: %s",
 				cell.Name, got, want)
 		}
-		if got, want := sweeps[i].Report(), serial.Report(); got != want {
+		if got, want := report(t, sweeps[i]), report(t, serial); got != want {
 			t.Errorf("%s: pooled cell report diverged from serial run", cell.Name)
 		}
 		totalJobs += len(cell.Options.Jobs())
@@ -76,4 +77,14 @@ func TestRunCellsMatchesSerialPerCell(t *testing.T) {
 			t.Errorf("no progress event carried cell %q", cell.Name)
 		}
 	}
+}
+
+// report renders the full markdown report of s, as leaksweep prints it.
+func report(t *testing.T, s *experiment.Sweep) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := experiment.WriteReport(&buf, s, "", false); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
 }

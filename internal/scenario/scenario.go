@@ -10,8 +10,8 @@
 // longer phases, recorded-trace variants of the benchmarks) are new files,
 // not new flag plumbing.  Expansion is pure — the same file and base system
 // always yield the same cells in the same order — so per-cell golden digests
-// and sharded runs compose: `leaksweep -scenario f.json -shard i/n -out ...`
-// invocations merge byte-identically to the unsharded run.
+// and sharded runs compose: `leaksweep -scenario f.json -shard i/n -cache
+// DIR_i` invocations merge byte-identically to the unsharded run.
 //
 // # Schema (version 2; version-1 files parse unchanged)
 //

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"cmpleak/internal/config"
 	"cmpleak/internal/decay"
 	"cmpleak/internal/experiment"
+	"cmpleak/internal/resultcache"
 )
 
 // valid returns a minimal valid scenario the error tests mutate.
@@ -357,11 +359,59 @@ func TestPerCellGoldenDigests(t *testing.T) {
 	}
 }
 
+// mergeShardStores runs the cells in n shards, shard i into its own result
+// store, then merges the n stores and returns the cells' sweeps as served
+// from them.  The merge must simulate nothing.
+func mergeShardStores(t *testing.T, cells []Cell, n int) []*experiment.Sweep {
+	t.Helper()
+	root := t.TempDir()
+	for i := 0; i < n; i++ {
+		part := append([]Cell(nil), cells...)
+		for j := range part {
+			part[j].Options.ShardIndex, part[j].Options.ShardCount = i, n
+		}
+		s, err := resultcache.Open(filepath.Join(root, fmt.Sprintf("shard-%d", i)), resultcache.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := s.Wire(experiment.Parallelism{Workers: 2}, NamedOptions(part), func(err error) { t.Errorf("Put: %v", err) })
+		if _, err := RunCells(part, p); err != nil {
+			t.Fatalf("shard %d/%d: %v", i, n, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stores, err := resultcache.OpenGlob(filepath.Join(root, "shard-*"), resultcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	reuse, err := resultcache.Merge(stores, NamedOptions(cells))
+	if err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	merged, err := RunCells(cells, experiment.Parallelism{
+		Workers:  2,
+		Reuse:    reuse,
+		Progress: func(ev experiment.JobEvent) { t.Errorf("merge simulated %s %s", ev.Cell, ev.Key) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged
+}
+
 // TestShardedScenarioMergesByteIdentically runs every cell of a multi-cell
-// scenario twice — once unsharded, once as two shards joined by
-// experiment.MergeShards — and requires bit-identical results and an
-// identical rendered report, which is what makes `leaksweep -scenario
-// -shard/-out/-merge` a faithful distribution of the same experiment.
+// scenario twice — once unsharded, once as two shards, each into its own
+// result store, merged in one step — and requires bit-identical results
+// and an identical rendered report, which is what makes `leaksweep
+// -scenario -shard i/n -cache DIR_i` followed by `-merge` a faithful
+// distribution of the same experiment.
 func TestShardedScenarioMergesByteIdentically(t *testing.T) {
 	f := File{
 		Version:    1,
@@ -380,29 +430,16 @@ func TestShardedScenarioMergesByteIdentically(t *testing.T) {
 	if len(cells) != 2 {
 		t.Fatalf("expanded %d cells, want 2", len(cells))
 	}
-	for _, c := range cells {
+	merged := mergeShardStores(t, cells, 2)
+	for i, c := range cells {
 		whole, err := experiment.Run(c.Options)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
-		var shards []experiment.ShardFile
-		for i := 0; i < 2; i++ {
-			opts := c.Options
-			opts.ShardIndex, opts.ShardCount = i, 2
-			part, err := experiment.Run(opts)
-			if err != nil {
-				t.Fatalf("%s shard %d: %v", c.Name, i, err)
-			}
-			shards = append(shards, part.Snapshot())
-		}
-		merged, err := experiment.MergeShards(shards...)
-		if err != nil {
-			t.Fatalf("%s: merge: %v", c.Name, err)
-		}
-		if got, want := merged.Digest(), whole.Digest(); got != want {
+		if got, want := merged[i].Digest(), whole.Digest(); got != want {
 			t.Fatalf("%s: merged digest %s != unsharded %s", c.Name, got, want)
 		}
-		if got, want := merged.Figure5a().Markdown(), whole.Figure5a().Markdown(); got != want {
+		if got, want := merged[i].Figure5a().Markdown(), whole.Figure5a().Markdown(); got != want {
 			t.Fatalf("%s: merged report differs from the unsharded report:\n%s\nvs\n%s", c.Name, got, want)
 		}
 	}

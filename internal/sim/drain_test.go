@@ -126,7 +126,7 @@ func TestDrainOrderMatchesStep(t *testing.T) {
 			// RunUntil in 7-cycle increments: the drain must stop at the
 			// limit, survive halts, and pick up exactly where it left off.
 			inc := newDrainWeb(t, seed, true)
-			for limit := Cycle(0); inc.e.Pending() > 0; limit += 7 {
+			for limit := Cycle(0); pending(inc.e) > 0; limit += 7 {
 				inc.e.RunUntil(limit)
 			}
 
@@ -198,8 +198,8 @@ func TestHaltMidBucket(t *testing.T) {
 	if st := e.RunLimit(CycleMax); st != RunHalted {
 		t.Fatalf("RunLimit = %v, want RunHalted", st)
 	}
-	if len(order) != 1 || e.Pending() != 2 {
-		t.Fatalf("halt left order=%v pending=%d", order, e.Pending())
+	if len(order) != 1 || pending(e) != 2 {
+		t.Fatalf("halt left order=%v pending=%d", order, pending(e))
 	}
 	e.Run()
 	want := [3]int{1, 2, 3}

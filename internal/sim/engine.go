@@ -195,9 +195,6 @@ func NewEngine() *Engine {
 // Now returns the current simulation cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
-// Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return e.wheelCount + len(e.far) }
-
 // alloc pops a pooled event node, refilling the free list in chunks.
 func (e *Engine) alloc() *event {
 	if e.free == nil {

@@ -47,9 +47,6 @@ func (r *Recurring) Stop() { r.stopped = true }
 // false.
 func (r *Recurring) Stopped() bool { return r.stopped }
 
-// Period returns the current firing period.
-func (r *Recurring) Period() Cycle { return r.period }
-
 // SetPeriod changes the interval applied from the next re-insertion on; the
 // already-queued firing keeps its cycle.  Adaptive services (e.g. Adaptive
 // Mode Control) retune their tick rate with this instead of cancelling and

@@ -17,8 +17,8 @@ func TestFarEventBeyondHorizon(t *testing.T) {
 	for _, d := range []Cycle{1, wheelSize - 1, wheelSize, wheelSize + 1, 10 * wheelSize} {
 		e.Schedule(d, record)
 	}
-	if e.Pending() != 5 {
-		t.Fatalf("Pending = %d, want 5", e.Pending())
+	if pending(e) != 5 {
+		t.Fatalf("Pending = %d, want 5", pending(e))
 	}
 	e.Run()
 	want := []Cycle{1, wheelSize - 1, wheelSize, wheelSize + 1, 10 * wheelSize}
@@ -169,8 +169,8 @@ func TestEventPoolReuse(t *testing.T) {
 			t.Fatal("Step returned false with event pending")
 		}
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain, want 0", e.Pending())
+	if pending(e) != 0 {
+		t.Fatalf("Pending = %d after drain, want 0", pending(e))
 	}
 	if e.Executed != 10*eventChunk {
 		t.Fatalf("Executed = %d, want %d", e.Executed, 10*eventChunk)
@@ -198,8 +198,8 @@ func TestRecurringSetPeriod(t *testing.T) {
 			t.Fatalf("firing times %v, want %v", times, want)
 		}
 	}
-	if r.Period() != 100 {
-		t.Fatalf("Period() = %d, want 100", r.Period())
+	if r.period != 100 {
+		t.Fatalf("Period() = %d, want 100", r.period)
 	}
 }
 
@@ -212,8 +212,8 @@ func TestRecurringStopReclaimsNode(t *testing.T) {
 	if r.Fired != 2 {
 		t.Fatalf("Fired = %d, want 2", r.Fired)
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after stop drain, want 0", e.Pending())
+	if pending(e) != 0 {
+		t.Fatalf("Pending = %d after stop drain, want 0", pending(e))
 	}
 }
 

@@ -193,15 +193,6 @@ func New(cfg Config, cores int) (*Model, error) {
 	return m, nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(cfg Config, cores int) *Model {
-	m, err := New(cfg, cores)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Temp returns the current temperature of a block in °C.
 func (m *Model) Temp(b Block) float64 { return m.temps[b] }
 

@@ -83,16 +83,19 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(DefaultConfig(), 0); err == nil {
 		t.Fatal("New accepted a 0-core floorplan")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNew did not panic")
-		}
-	}()
-	MustNew(Config{}, 4)
+}
+
+// mustNew is New for configurations the tests know are valid.
+func mustNew(cfg Config, cores int) *Model {
+	m, err := New(cfg, cores)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 func TestInitialTemperatures(t *testing.T) {
-	m := MustNew(DefaultConfig(), 4)
+	m := mustNew(DefaultConfig(), 4)
 	for b := Block(0); int(b) < m.NumBlocks(); b++ {
 		if m.Temp(b) != DefaultConfig().InitialC {
 			t.Fatalf("block %v starts at %v, want %v", b, m.Temp(b), DefaultConfig().InitialC)
@@ -103,7 +106,7 @@ func TestInitialTemperatures(t *testing.T) {
 func TestZeroPowerCoolsTowardAmbient(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitialC = 90
-	m := MustNew(cfg, 4)
+	m := mustNew(cfg, 4)
 	none := make([]float64, m.NumBlocks())
 	m.Step(none, 5.0)
 	for b := Block(0); int(b) < m.NumBlocks(); b++ {
@@ -117,7 +120,7 @@ func TestZeroPowerCoolsTowardAmbient(t *testing.T) {
 }
 
 func TestPowerHeatsBlocks(t *testing.T) {
-	m := MustNew(DefaultConfig(), 4)
+	m := mustNew(DefaultConfig(), 4)
 	p := make([]float64, m.NumBlocks())
 	p[m.CoreBlock(0)] = 10
 	m.Step(p, 2.0)
@@ -136,7 +139,7 @@ func TestPowerHeatsBlocks(t *testing.T) {
 }
 
 func TestStepRejectsWrongPowerMapLength(t *testing.T) {
-	m := MustNew(DefaultConfig(), 4)
+	m := mustNew(DefaultConfig(), 4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Step accepted a power map of the wrong length")
@@ -149,7 +152,7 @@ func TestSteadyStateMatchesAnalytic(t *testing.T) {
 	// With lateral coupling to unpowered blocks the steady temperature of a
 	// single powered block sits between ambient and ambient + P*R.
 	cfg := DefaultConfig()
-	m := MustNew(cfg, 4)
+	m := mustNew(cfg, 4)
 	p := make([]float64, m.NumBlocks())
 	p[m.CoreBlock(1)] = 8
 	ss := m.SteadyState(p, 0.01)
@@ -165,7 +168,7 @@ func TestSteadyStateMatchesAnalytic(t *testing.T) {
 }
 
 func TestStepSubdividesLongIntervals(t *testing.T) {
-	m := MustNew(DefaultConfig(), 4)
+	m := mustNew(DefaultConfig(), 4)
 	p := make([]float64, m.NumBlocks())
 	p[m.CoreBlock(0)] = 5
 	m.Step(p, 0.01)
@@ -180,7 +183,7 @@ func TestStepSubdividesLongIntervals(t *testing.T) {
 }
 
 func TestTempsCopy(t *testing.T) {
-	m := MustNew(DefaultConfig(), 4)
+	m := mustNew(DefaultConfig(), 4)
 	temps := m.Temps()
 	temps[m.CoreBlock(0)] = 999
 	if m.Temp(m.CoreBlock(0)) == 999 {
@@ -194,7 +197,7 @@ func TestRealisticPowerMapStaysInLeakageModelRange(t *testing.T) {
 	// the leakage model's validity range (25-125°C) — on the paper's 4-core
 	// floorplan and on the wider scenario floorplans.
 	for _, cores := range []int{2, 4, 8} {
-		m := MustNew(DefaultConfig(), cores)
+		m := mustNew(DefaultConfig(), cores)
 		p := make([]float64, m.NumBlocks())
 		for i := 0; i < cores; i++ {
 			p[m.CoreBlock(i)] = 8
@@ -217,7 +220,7 @@ func TestRealisticPowerMapStaysInLeakageModelRange(t *testing.T) {
 // TestFourCoreSubsumesLegacyLayout pins the N-core generalisation to the old
 // fixed 4-core model: same block order, same neighbour-driven integration.
 func TestFourCoreSubsumesLegacyLayout(t *testing.T) {
-	m := MustNew(DefaultConfig(), 4)
+	m := mustNew(DefaultConfig(), 4)
 	if m.NumBlocks() != 9 {
 		t.Fatalf("4-core floorplan has %d blocks, want 9", m.NumBlocks())
 	}
@@ -238,8 +241,8 @@ func TestFourCoreSubsumesLegacyLayout(t *testing.T) {
 func TestPropertyMonotoneInPower(t *testing.T) {
 	f := func(rawP uint8) bool {
 		pw := float64(rawP%50) + 1
-		m1 := MustNew(DefaultConfig(), 4)
-		m2 := MustNew(DefaultConfig(), 4)
+		m1 := mustNew(DefaultConfig(), 4)
+		m2 := mustNew(DefaultConfig(), 4)
 		p1 := make([]float64, m1.NumBlocks())
 		p2 := make([]float64, m2.NumBlocks())
 		c2 := m1.CoreBlock(2)

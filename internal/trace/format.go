@@ -259,7 +259,7 @@ func appendEntries(dst []byte, entries []workload.Entry, prevAddr mem.Addr) ([]b
 // and two-byte encodings — short compute runs and small address deltas,
 // which dominate trace payloads — decode inline; longer encodings take the
 // stdlib loop.  Replaying a trace decodes two varints per memory entry, so
-// this sits directly on the leakcalib hot path.
+// this sits directly on the replay hot path (perfbench replay-decay8m).
 func uvarint(b []byte, pos int) (uint64, int) {
 	if pos < len(b) {
 		if v := b[pos]; v < 0x80 {

@@ -17,6 +17,25 @@ import (
 	"cmpleak/internal/workload"
 )
 
+// sliceStream replays a fixed slice of entries; it implements
+// workload.BatchStream, so the Record tee reads it batch by batch.
+type sliceStream struct{ entries []workload.Entry }
+
+func (s *sliceStream) Next() (workload.Entry, bool) {
+	if len(s.entries) == 0 {
+		return workload.Entry{}, false
+	}
+	e := s.entries[0]
+	s.entries = s.entries[1:]
+	return e, true
+}
+
+func (s *sliceStream) NextBatch(buf []workload.Entry) int {
+	n := copy(buf, s.entries)
+	s.entries = s.entries[n:]
+	return n
+}
+
 // syntheticEntries builds a deterministic pseudo-random entry sequence with
 // full op-kind and address-delta variety (forward and backward jumps, runs
 // of pure compute, repeated blocks).
@@ -74,7 +93,7 @@ func TestRecordReplayAdversarialBatchSizes(t *testing.T) {
 			// Drain the source through the Record tee at the adversarial
 			// batch size: the tee must deliver every entry unchanged while
 			// appending exactly the same sequence to the writer.
-			rec := trace.Record(workload.NewSliceStream(want), w, 0)
+			rec := trace.Record(&sliceStream{entries: want}, w, 0)
 			got := drainBatched(rec, recordBatch)
 			if rec.Err() != nil {
 				t.Fatalf("chunk %d batch %d: record error: %v", chunk, recordBatch, rec.Err())
@@ -146,7 +165,7 @@ func TestRecordReplayAcrossChunkBoundaryTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := trace.Record(workload.NewSliceStream(want), w, 0)
+		rec := trace.Record(&sliceStream{entries: want}, w, 0)
 		if got := len(drainBatched(rec, batch)); got != len(want) || rec.Err() != nil {
 			t.Fatalf("batch %d: tee delivered %d entries (err %v), want %d", batch, got, rec.Err(), len(want))
 		}

@@ -64,12 +64,12 @@ func TestAsBatchStreamShim(t *testing.T) {
 	for i := range entries {
 		entries[i] = Entry{ComputeInstrs: i, Op: Load, Addr: mem.Addr(0x1000 + i*64)}
 	}
-	native := NewSliceStream(entries)
-	if AsBatchStream(native) != native.(BatchStream) {
+	native := &sliceStream{entries: entries}
+	if AsBatchStream(native) != BatchStream(native) {
 		t.Fatal("native BatchStream was wrapped instead of passed through")
 	}
 	// onlyNext hides the batch method, forcing the shim path.
-	shimmed := AsBatchStream(onlyNext{NewSliceStream(entries)})
+	shimmed := AsBatchStream(onlyNext{&sliceStream{entries: entries}})
 	got := drainBatched(shimmed, 17)
 	if len(got) != len(entries) {
 		t.Fatalf("shim produced %d entries, want %d", len(got), len(entries))

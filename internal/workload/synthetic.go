@@ -98,12 +98,3 @@ func NewSynthetic(cfg SyntheticConfig, scale float64) (Generator, error) {
 		}},
 	}, nil
 }
-
-// MustNewSynthetic is NewSynthetic but panics on error.
-func MustNewSynthetic(cfg SyntheticConfig, scale float64) Generator {
-	g, err := NewSynthetic(cfg, scale)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}

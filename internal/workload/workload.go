@@ -23,7 +23,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"cmpleak/internal/mem"
@@ -241,16 +240,6 @@ func ByName(name string, scale float64) (Generator, error) {
 	return ctor(scale), nil
 }
 
-// Names lists the registered benchmarks in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ClassOf returns the class of a registered benchmark name.
 func ClassOf(name string) Class {
 	switch name {
@@ -268,33 +257,6 @@ func ClassOf(name string) Class {
 func PaperBenchmarks() []string {
 	return []string{"mpeg2enc", "mpeg2dec", "facerec", "WATER-NS", "FMM", "VOLREND"}
 }
-
-// sliceStream replays a pre-generated slice of entries.
-type sliceStream struct {
-	entries []Entry
-	pos     int
-}
-
-// Next implements Stream.
-func (s *sliceStream) Next() (Entry, bool) {
-	if s.pos >= len(s.entries) {
-		return Entry{}, false
-	}
-	e := s.entries[s.pos]
-	s.pos++
-	return e, true
-}
-
-// NextBatch implements BatchStream: one memmove per batch.
-func (s *sliceStream) NextBatch(buf []Entry) int {
-	n := copy(buf, s.entries[s.pos:])
-	s.pos += n
-	return n
-}
-
-// NewSliceStream wraps a slice of entries as a Stream.  The returned stream
-// also implements BatchStream.
-func NewSliceStream(entries []Entry) Stream { return &sliceStream{entries: entries} }
 
 // TotalInstructions sums the instruction counts of a slice of entries.
 func TotalInstructions(entries []Entry) uint64 {

@@ -43,13 +43,8 @@ func TestClassString(t *testing.T) {
 }
 
 func TestRegistryContainsPaperBenchmarks(t *testing.T) {
-	names := Names()
-	set := make(map[string]bool, len(names))
-	for _, n := range names {
-		set[n] = true
-	}
 	for _, want := range PaperBenchmarks() {
-		if !set[want] {
+		if _, ok := registry[want]; !ok {
 			t.Errorf("benchmark %q not registered", want)
 		}
 	}
@@ -87,9 +82,40 @@ func TestClassOf(t *testing.T) {
 	}
 }
 
+// sliceStream replays a fixed slice of entries; it implements BatchStream.
+type sliceStream struct{ entries []Entry }
+
+func (s *sliceStream) Next() (Entry, bool) {
+	if len(s.entries) == 0 {
+		return Entry{}, false
+	}
+	e := s.entries[0]
+	s.entries = s.entries[1:]
+	return e, true
+}
+
+func (s *sliceStream) NextBatch(buf []Entry) int {
+	n := copy(buf, s.entries)
+	s.entries = s.entries[n:]
+	return n
+}
+
+// mustSynthetic is NewSynthetic for configurations the tests know are
+// valid.
+func mustSynthetic(cfg SyntheticConfig) Generator {
+	g, err := NewSynthetic(cfg, 1)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// TestSliceStream drains a slice-backed stream: Drain returns every entry
+// in order and leaves the stream exhausted, and TotalInstructions counts
+// each entry's compute run plus its memory operation.
 func TestSliceStream(t *testing.T) {
 	entries := []Entry{{ComputeInstrs: 1, Op: Load, Addr: 0x10}, {ComputeInstrs: 2, Op: Store, Addr: 0x20}}
-	s := NewSliceStream(entries)
+	s := &sliceStream{entries: entries}
 	got := Drain(s)
 	if len(got) != 2 || got[0].Addr != 0x10 || got[1].Op != Store {
 		t.Fatalf("drained %v", got)
@@ -257,7 +283,7 @@ func TestSyntheticGeneratorProducesRequestedMix(t *testing.T) {
 	cfg.References = 5000
 	cfg.StoreFraction = 0.5
 	cfg.SharedFraction = 0
-	g := MustNewSynthetic(cfg, 1)
+	g := mustSynthetic(cfg)
 	entries := Drain(g.Streams(1, 5)[0])
 	if len(entries) != 5000 {
 		t.Fatalf("generated %d entries, want 5000", len(entries))
@@ -280,7 +306,7 @@ func TestSyntheticStreamingIsSequential(t *testing.T) {
 	cfg.SharedFraction = 0
 	cfg.StoreFraction = 0 // stores follow recent loads (RMW), not the stream
 	cfg.Streaming = true
-	g := MustNewSynthetic(cfg, 1)
+	g := mustSynthetic(cfg)
 	entries := Drain(g.Streams(1, 9)[0])
 	// Consecutive private accesses must walk forward in block address
 	// (modulo wrap-around at the end of the region).
@@ -293,15 +319,6 @@ func TestSyntheticStreamingIsSequential(t *testing.T) {
 	if float64(increasing)/float64(len(entries)) < 0.9 {
 		t.Fatalf("streaming workload not sequential: %d/%d increasing", increasing, len(entries))
 	}
-}
-
-func TestMustNewSyntheticPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNewSynthetic did not panic")
-		}
-	}()
-	MustNewSynthetic(SyntheticConfig{}, 1)
 }
 
 func TestScaleReducesLength(t *testing.T) {
